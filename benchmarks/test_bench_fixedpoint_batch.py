@@ -1,71 +1,110 @@
-"""Benchmark — batched fixed-point MP engine vs the scalar sweep (E6).
+"""Benchmark — the batch-native fixed-point sweep vs its scalar oracle (E6).
 
 Runs the full bitwidth ablation (the paper's six word lengths, 48 paired
-Monte-Carlo channels each) through the scalar per-trial sweep and through
-:class:`repro.core.batch.BatchFixedPointMPEngine` at equal trial counts and
-records the speed-up.  The engine draws the identical RNG streams and its
-datapath is pinned bit-identical on raw integer codes, so besides being
-faster it returns *identical* results — which this benchmark also asserts,
-both at the aggregated-ablation level and record by record against
-``run_sweep``, making it an end-to-end equivalence check at benchmark scale.
+Monte-Carlo channels each) two ways at equal trial counts and records the
+speed-up:
 
-The hard gate is >= 5x (the ISSUE 4 acceptance threshold); on this
-repository's CI-class single-core container the engine typically measures
-6-8x — the scalar path pays dozens of small NumPy calls per trial while the
-batched datapath re-quantises whole trial stacks at once, and the remaining
-floor is the per-trial metric evaluation both paths share.  The measured
-ratio is stored in ``extra_info`` (and the benchmark JSON artifact in CI,
-where ``benchmarks/compare.py`` tracks regressions against the previous
-run).
+* the default path — :func:`~repro.analysis.ablations.bitwidth_accuracy_ablation`,
+  a plain ``run_sweep`` of the ``fixedpoint-bitwidth`` scenario, which hands
+  every cache miss to the scenario's ``run_batch`` (one
+  ``estimate_batch`` per word length);
+* the scalar oracle, called directly — the scenario's ``run_trial`` (the
+  scalar :meth:`~repro.core.fixedpoint_mp.FixedPointMatchingPursuit.estimate`)
+  once per trial, aggregated the same way.
+
+The batched datapath is pinned bit-identical on raw integer codes, so
+besides being faster the sweep returns *identical* results — which this
+benchmark also asserts, both at the aggregated-ablation level and trial by
+trial, making it an end-to-end equivalence check at benchmark scale.
+
+The hard gate is >= 5x; the scalar path pays dozens of small NumPy calls per
+trial while the batched datapath re-quantises whole trial stacks at once,
+and the remaining floor is the per-trial metric evaluation both paths share.
+The measured ratio is stored in ``extra_info`` (and the benchmark JSON
+artifact in CI, where ``benchmarks/compare.py`` tracks regressions against
+the previous run).
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.analysis.ablations import bitwidth_accuracy_ablation
-from repro.core.batch import BatchFixedPointMPEngine
+from repro.analysis.ablations import BitwidthAccuracyResult, bitwidth_accuracy_ablation
 from repro.experiments import get_scenario, run_sweep
+from repro.experiments.registry import config_params
+from repro.modem.config import AquaModemConfig
 from repro.utils.tables import format_table
 
 WORD_LENGTHS = (4, 6, 8, 10, 12, 16)
 TRIALS = 48
 ROUNDS = 3
 MIN_SPEEDUP = 5.0
+METRICS = ("normalized_error", "support_recovery", "error_vs_float")
+
+#: The spec bitwidth_accuracy_ablation builds for these arguments.
+SPEC = (
+    get_scenario("fixedpoint-bitwidth").spec
+    .with_axis("word_length", WORD_LENGTHS)
+    .with_base(snr_db=25.0, num_channel_paths=4, **config_params(AquaModemConfig()))
+    .with_seed(base_seed=0, replicates=TRIALS)
+)
 
 
-def _ablation(batch: bool):
+def _ablation():
     return bitwidth_accuracy_ablation(
-        word_lengths=WORD_LENGTHS, num_trials=TRIALS, snr_db=25.0, rng=0, batch=batch
+        word_lengths=WORD_LENGTHS, num_trials=TRIALS, snr_db=25.0, rng=0
     )
 
 
+def _scalar_metrics() -> list[dict]:
+    """The scalar oracle, called directly: ``run_trial`` once per trial."""
+    scenario = get_scenario("fixedpoint-bitwidth")
+    return [scenario.run_trial(trial.params, trial.seed) for trial in SPEC.expand()]
+
+
+def _scalar_ablation():
+    by_bits: dict[int, list[dict]] = {}
+    for trial, metrics in zip(SPEC.expand(), _scalar_metrics()):
+        by_bits.setdefault(trial.params["word_length"], []).append(metrics)
+
+    def mean(bits: int, name: str) -> float:
+        values = [float(metrics[name]) for metrics in by_bits[bits]]
+        return sum(values) / len(values)
+
+    return [
+        BitwidthAccuracyResult(
+            word_length=bits,
+            mean_normalized_error=mean(bits, "normalized_error"),
+            mean_support_recovery=mean(bits, "support_recovery"),
+            mean_error_vs_float=mean(bits, "error_vs_float"),
+        )
+        for bits in WORD_LENGTHS
+    ]
+
+
 def test_bench_fixedpoint_batch(benchmark):
-    # Interleave the engine and scalar measurements round by round so
+    # Interleave the sweep and scalar measurements round by round so
     # machine-load drift hits both equally; the gate uses the interleaved
     # minima (round 1 also warms the shared memoised channel problems, so
     # neither path is charged for problem generation the other skips).
+    paths = {True: _ablation, False: _scalar_ablation}
     times = {True: float("inf"), False: float("inf")}
     results = {}
     for _ in range(ROUNDS):
         for batch in (False, True):
             start = time.perf_counter()
-            outcome = _ablation(batch)
+            outcome = paths[batch]()
             times[batch] = min(times[batch], time.perf_counter() - start)
             results[batch] = outcome
 
     # result identity at benchmark scale — aggregated ablation results ...
-    assert results[True] == results[False], "batched ablation diverged from the sweep"
-    # ... and the underlying records, trial for trial, with ==
-    spec = (
-        get_scenario("fixedpoint-bitwidth").spec
-        .with_axis("word_length", WORD_LENGTHS)
-        .with_seed(base_seed=0, replicates=TRIALS)
-    )
-    assert BatchFixedPointMPEngine().run_spec(spec).records == run_sweep(spec).records
+    assert results[True] == results[False], "batched ablation diverged from the oracle"
+    # ... and the underlying metrics, trial for trial, with ==
+    records = run_sweep(SPEC).records
+    assert [{name: r[name] for name in METRICS} for r in records] == _scalar_metrics()
 
-    # the recorded pytest-benchmark timing is the batched engine's full sweep
-    benchmark.pedantic(lambda: _ablation(True), iterations=1, rounds=1)
+    # the recorded pytest-benchmark timing is the batch-native sweep
+    benchmark.pedantic(_ablation, iterations=1, rounds=1)
 
     speedup = times[False] / times[True]
     benchmark.extra_info["word_lengths"] = len(WORD_LENGTHS)
@@ -79,11 +118,11 @@ def test_bench_fixedpoint_batch(benchmark):
         format_table(
             ["Path", "Time (s)", "Speed-up"],
             [
-                ("scalar sweep (reference)", round(times[False], 3), "1.0x"),
-                ("batched engine", round(times[True], 3), f"{speedup:.1f}x"),
+                ("scalar oracle (run_trial)", round(times[False], 3), "1.0x"),
+                ("run_sweep (run_batch)", round(times[True], 3), f"{speedup:.1f}x"),
             ],
             title=(
-                f"E6 bitwidth ablation — batched engine vs scalar sweep "
+                f"E6 bitwidth ablation — batch-native sweep vs scalar oracle "
                 f"({len(WORD_LENGTHS)} word lengths x {TRIALS} trials)"
             ),
         )

@@ -29,8 +29,12 @@ MIN_SPEEDUP = 2.0
 
 
 def _curve(batch: bool, scheme: str):
-    simulator = LinkSimulator(rng=0, batch=batch)
-    return simulator.run_curve(scheme, SNR_POINTS_DB, NUM_SYMBOLS, NUM_FRAMES)
+    """One SER curve on the default batched path, or on the per-frame oracle."""
+    simulator = LinkSimulator(rng=0)
+    if batch:
+        return simulator.run_curve(scheme, SNR_POINTS_DB, NUM_SYMBOLS, NUM_FRAMES)
+    perframe = simulator.run_dsss_perframe if scheme == "DSSS" else simulator.run_fsk_perframe
+    return [perframe(snr, NUM_SYMBOLS, NUM_FRAMES) for snr in SNR_POINTS_DB]
 
 
 def _best_time(fn, rounds: int = ROUNDS) -> tuple[float, object]:

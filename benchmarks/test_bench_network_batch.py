@@ -22,6 +22,7 @@ import time
 
 from repro.modem.energy_budget import ModemEnergyBudget
 from repro.network.batch import simulate_network_trials
+from repro.network.simulator import NetworkSimulator
 from repro.network.topology import grid_deployment
 from repro.network.traffic import PeriodicTraffic
 from repro.utils.tables import format_table
@@ -40,17 +41,25 @@ def _sweep(batch: bool, energy_uj: float):
         # continuous detection: one estimation per 22.4 ms receive window
         processing_idle_power_w=0.01 + energy_uj * 1e-6 / 22.4e-3,
     )
-    return simulate_network_trials(
-        grid_deployment(5, 5, spacing_m=200.0),
-        budget,
+    deployment = grid_deployment(5, 5, spacing_m=200.0)
+    shared = dict(
         traffic=PeriodicTraffic(report_interval_s=60.0, packet_symbols=32,
                                 jitter_fraction=0.1),
         communication_range_m=300.0,
         battery_capacity_j=8_000.0,
-        seeds=SEEDS,
-        max_time_s=30.0 * 86_400.0,
-        batch=batch,
     )
+    horizon_s = 30.0 * 86_400.0
+    if batch:
+        return simulate_network_trials(
+            deployment, budget, seeds=SEEDS, max_time_s=horizon_s, **shared
+        )
+    # the scalar oracle, called directly: one event loop per seed
+    return [
+        NetworkSimulator(
+            deployment=deployment, energy_budget=budget, rng=seed, **shared
+        ).run_event_loop(max_time_s=horizon_s)
+        for seed in SEEDS
+    ]
 
 
 def _signature(results):

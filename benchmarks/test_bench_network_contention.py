@@ -24,12 +24,13 @@ import time
 from repro.modem.energy_budget import ModemEnergyBudget
 from repro.network.batch import simulate_network_trials
 from repro.network.mac import CsmaMac
-from repro.network.routing import TtlFlooding
+from repro.network.routing import RoutedForwarding, TtlFlooding
+from repro.network.simulator import NetworkSimulator
 from repro.network.topology import grid_deployment
 from repro.network.traffic import PeriodicTraffic
 from repro.utils.tables import format_table
 
-PROTOCOLS = {"routed": None, "flooding": TtlFlooding(ttl=4)}
+PROTOCOLS = {"routed": RoutedForwarding(), "flooding": TtlFlooding(ttl=4)}
 SEEDS = [0, 1, 2]
 ROUNDS = 2
 MIN_SPEEDUP = 5.0
@@ -42,19 +43,27 @@ def _sweep(batch: bool, protocol):
         processing_energy_per_estimation_j=500.76e-6,
         processing_idle_power_w=0.01,
     )
-    return simulate_network_trials(
-        grid_deployment(5, 5, spacing_m=200.0),
-        budget,
+    deployment = grid_deployment(5, 5, spacing_m=200.0)
+    shared = dict(
         traffic=PeriodicTraffic(report_interval_s=60.0, packet_symbols=32,
                                 jitter_fraction=0.1),
         communication_range_m=300.0,
         battery_capacity_j=8_000.0,
-        seeds=SEEDS,
-        max_time_s=30.0 * 86_400.0,
-        batch=batch,
         mac=CsmaMac(channel_load=0.2, max_attempts=5),
         protocol=protocol,
     )
+    horizon_s = 30.0 * 86_400.0
+    if batch:
+        return simulate_network_trials(
+            deployment, budget, seeds=SEEDS, max_time_s=horizon_s, **shared
+        )
+    # the scalar oracle, called directly: one event loop per seed
+    return [
+        NetworkSimulator(
+            deployment=deployment, energy_budget=budget, rng=seed, **shared
+        ).run_event_loop(max_time_s=horizon_s)
+        for seed in SEEDS
+    ]
 
 
 def _signature(results):

@@ -13,10 +13,9 @@ fixed-point Matching Pursuits model and prints, per word length:
   fully parallel Virtex-4 core) — the accuracy-vs-energy trade the designer
   actually faces.
 
-The sweep runs on the batched fixed-point engine by default (all trials of
-all word lengths in one pass); pass ``batch=False`` to
-:func:`bitwidth_accuracy_ablation` for the scalar per-trial reference —
-the results are pinned identical, bit for bit.
+The sweep runs the ``fixedpoint-bitwidth`` scenario, which hands all trials
+of each word length to the batched fixed-point datapath in one call; its
+per-trial scalar reference is pinned identical, bit for bit.
 
 Run with:  python examples/fixed_point_accuracy.py
 """

@@ -29,7 +29,7 @@ from repro.channel.noise import total_noise_level_db
 from repro.channel.propagation import snr_db as sonar_snr_db
 from repro.channel.simulator import add_noise_for_snr, apply_channel
 from repro.modem.frame import bit_errors, random_bits
-from repro.modem.link import symbol_error_rate_curve
+from repro.modem.link import LinkSimulator, symbol_error_rate_curve
 from repro.utils.tables import format_table
 
 
@@ -74,11 +74,10 @@ def single_link() -> None:
 def ser_sweep() -> None:
     """DS-SS vs FSK symbol error rate over random multipath channels.
 
-    Runs on the batched engine (``batch=True`` is the default: the whole
-    Monte-Carlo batch goes through vectorised modulation, channel, noise,
-    Matching Pursuits and RAKE detection) and then cross-checks one curve
-    against the per-frame reference loop — same seed, same RNG stream,
-    identical error counts.
+    Runs on the batched engine (the whole Monte-Carlo batch goes through
+    vectorised modulation, channel, noise, Matching Pursuits and RAKE
+    detection) and then cross-checks one curve against the per-frame
+    reference loop — same seed, same RNG stream, identical error counts.
     """
     snr_points = [-9.0, -6.0, -3.0, 0.0, 3.0]
     t0 = time.perf_counter()
@@ -96,9 +95,10 @@ def ser_sweep() -> None:
 
     # seed-locked equivalence: the per-frame loop reproduces the same counts
     t0 = time.perf_counter()
-    reference = symbol_error_rate_curve(
-        "DSSS", snr_points, num_symbols=120, rng=3, batch=False
-    )
+    simulator = LinkSimulator(rng=3)
+    reference = [
+        simulator.run_dsss_perframe(snr, num_symbols=120) for snr in snr_points
+    ]
     reference_s = time.perf_counter() - t0
     assert [r.symbol_errors for r in reference] == [r.symbol_errors for r in dsss]
     print(f"Per-frame reference reproduces the DS-SS curve exactly "

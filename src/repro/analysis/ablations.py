@@ -86,7 +86,6 @@ def bitwidth_accuracy_ablation(
     config: AquaModemConfig | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    batch: bool = True,
 ) -> list[BitwidthAccuracyResult]:
     """Channel-estimation accuracy of the fixed-point MP over word lengths.
 
@@ -96,14 +95,9 @@ def bitwidth_accuracy_ablation(
     the normalised error against the true channel, the support recovery rate,
     and the deviation of the fixed-point estimate from the float estimate.
 
-    ``batch=True`` (the default) runs the whole ablation — every trial of
-    every word length — on the batched fixed-point engine
-    (:class:`~repro.core.batch.BatchFixedPointMPEngine`); it draws the
-    identical RNG streams and produces identical records, just without the
-    per-trial interpreter overhead.  ``batch=False`` runs the same spec
-    trial by trial through the scalar datapath on the sweep engine, where
-    ``jobs``/``cache`` enable parallel and resumable runs (both are ignored
-    by the in-process batched engine).
+    Runs the ``fixedpoint-bitwidth`` scenario on the sweep engine, which
+    hands every word length's trials to the batched datapath in one call;
+    ``jobs``/``cache`` enable parallel and resumable runs.
     """
     check_integer("num_trials", num_trials, minimum=1)
     config = config if config is not None else AquaModemConfig()
@@ -117,21 +111,7 @@ def bitwidth_accuracy_ablation(
         )
         .with_seed(base_seed=_as_base_seed(rng), replicates=num_trials)
     )
-    if batch:
-        if jobs != 1 or cache is not None:
-            import warnings
-
-            warnings.warn(
-                "bitwidth_accuracy_ablation(batch=True) runs in-process on the "
-                "batched engine; `jobs` and `cache` are ignored — pass "
-                "batch=False for a parallel or resumable sweep",
-                stacklevel=2,
-            )
-        from repro.core.batch import BatchFixedPointMPEngine
-
-        result = BatchFixedPointMPEngine().run_spec(spec)
-    else:
-        result = run_sweep(spec, jobs=jobs, cache=cache)
+    result = run_sweep(spec, jobs=jobs, cache=cache)
     errors = result.group_mean(by="word_length", metric="normalized_error")
     supports = result.group_mean(by="word_length", metric="support_recovery")
     vs_float = result.group_mean(by="word_length", metric="error_vs_float")
@@ -172,7 +152,6 @@ def ipcore_parallelism_study(
     snr_db: float = 25.0,
     rng: np.random.Generator | int | None = 0,
     config: AquaModemConfig | None = None,
-    batch: bool = True,
     device: FPGADevice | None = None,
 ) -> list[IPCoreParallelismResult]:
     """Cycle cost vs estimation quality of the IP core over parallelism levels.
@@ -184,10 +163,8 @@ def ipcore_parallelism_study(
     P — the study asserts cross-P bit-identity on the raw integer codes on
     every run — while the cycle and execution-time columns fall as Ns/P.
 
-    ``batch=True`` (the default) stacks each level's trials through
-    :meth:`~repro.core.ipcore.batch.BatchIPCoreEngine.estimate_batch`;
-    ``batch=False`` walks the scalar FC-block simulator trial by trial (the
-    executable specification — identical results, just slower).
+    Each level's trials run through one
+    :meth:`~repro.core.ipcore.batch.BatchIPCoreEngine.estimate_batch` call.
     ``execution_time_us`` prices the closed-form schedule on ``device``
     (default: the Virtex-4) at this word length.
     """
@@ -210,7 +187,6 @@ def ipcore_parallelism_study(
         .with_base(
             snr_db=float(snr_db),
             num_channel_paths=int(num_channel_paths),
-            batch=bool(batch),
             **config_params(config),
         )
         .with_seed(base_seed=_as_base_seed(rng), replicates=num_trials)
@@ -226,15 +202,9 @@ def ipcore_parallelism_study(
         engine = trial_ipcore_engine(points[0].params, int(level), int(word_length))
         problems = [trial_channel_problem(p.params, p.seed) for p in points]
         references = [trial_float_reference(p.params, p.seed) for p in points]
-        if batch:
-            received = np.stack([problem[2] for problem in problems])
-            run = engine.estimate_batch(received)
-            estimates = [run.result[t] for t in range(len(points))]
-            schedule = run.schedule
-        else:
-            runs = [engine.core.estimate(problem[2]) for problem in problems]
-            estimates = [r.result for r in runs]
-            schedule = runs[0].schedule
+        run = engine.estimate_batch(np.stack([problem[2] for problem in problems]))
+        estimates = [run.result[t] for t in range(len(points))]
+        schedule = run.schedule
         # the live conformance assertion: raw integer codes identical across P
         if baseline_estimates is None:
             baseline_estimates = estimates
@@ -292,14 +262,9 @@ def dsss_vs_fsk_ablation(
     num_symbols: int = 120,
     rng: np.random.Generator | int | None = 0,
     config: AquaModemConfig | None = None,
-    batch: bool = True,
     num_frames: int = 10,
 ) -> dict[str, list[LinkResult]]:
-    """Symbol-error-rate curves of the DS-SS and FSK schemes over the same SNR sweep.
-
-    Runs on the batched link engine by default; ``batch=False`` selects the
-    per-frame reference loop (identical counts for a given seed).
-    """
+    """Symbol-error-rate curves of the DS-SS and FSK schemes over the same SNR sweep."""
     config = config if config is not None else AquaModemConfig()
     rng = as_rng(rng)
     seed_dsss = int(rng.integers(0, 2**31 - 1))
@@ -307,11 +272,11 @@ def dsss_vs_fsk_ablation(
     return {
         "DSSS": symbol_error_rate_curve(
             "DSSS", list(snr_points_db), num_symbols=num_symbols, config=config,
-            rng=seed_dsss, batch=batch, num_frames=num_frames,
+            rng=seed_dsss, num_frames=num_frames,
         ),
         "FSK": symbol_error_rate_curve(
             "FSK", list(snr_points_db), num_symbols=num_symbols, config=config,
-            rng=seed_fsk, batch=batch, num_frames=num_frames,
+            rng=seed_fsk, num_frames=num_frames,
         ),
     }
 
@@ -331,7 +296,6 @@ def network_lifetime_study(
     config: AquaModemConfig | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    batch: bool = True,
     topology: str = "grid",
     topology_seed: int = 1,
 ) -> dict[str, float]:
@@ -352,9 +316,8 @@ def network_lifetime_study(
     deployment level.  Disabling it reverts to the duty-cycled mode where
     estimations happen only while a packet is being received.
 
-    ``batch`` selects the vectorised lifetime estimator (identical floats to
-    the scalar loop); ``topology`` chooses ``grid`` or ``random`` deployment
-    geometry (the scatter drawn deterministically from ``topology_seed``).
+    ``topology`` chooses ``grid`` or ``random`` deployment geometry (the
+    scatter drawn deterministically from ``topology_seed``).
     """
     if platform_energies_uj is None:
         platform_energies_uj = dict(TABLE3_PLATFORM_ENERGIES_UJ)
@@ -368,7 +331,6 @@ def network_lifetime_study(
             "energy_uj": tuple(float(e) for e in platform_energies_uj.values()),
         })
         .with_base(
-            batch=bool(batch),
             topology_seed=int(topology_seed),
             grid_rows=int(grid_size[0]),
             grid_cols=int(grid_size[1]),
@@ -444,7 +406,6 @@ def simulated_network_lifetime_study(
     base_seed: int = 0,
     jitter_fraction: float = 0.1,
     max_days: float = 30.0,
-    batch: bool = True,
     topology: str = "grid",
     topology_seed: int = 1,
     mac=None,
@@ -455,8 +416,8 @@ def simulated_network_lifetime_study(
 
     Unlike :func:`network_lifetime_study` (the closed-form estimate), this
     runs the packet-level :class:`~repro.network.simulator.NetworkSimulator`
-    — on the vectorised batch engine by default, with ``trials`` jittered
-    traffic seeds batched per platform — and reports per-platform lifetime
+    — on the vectorised batch engine, with ``trials`` jittered traffic seeds
+    batched per platform — and reports per-platform lifetime
     and delivery-ratio summaries.  Trials whose network outlives ``max_days``
     are reported as censored (see :func:`summarize_lifetimes`).  ``topology``
     selects the same ``grid``/``random`` geometries as the analytical study;
@@ -511,7 +472,6 @@ def simulated_network_lifetime_study(
             mobility=mobility,
             seeds=seeds,
             max_time_s=max_days * 86_400.0,
-            batch=batch,
         )
         summaries[platform] = summarize_lifetimes(platform, results)
     return summaries

@@ -11,7 +11,7 @@ Usage (after ``pip install -e .``)::
     python -m repro lifetime        # E9 extension — network lifetime by platform
     python -m repro estimate        # run one MP estimation on a random channel
     python -m repro ipcore          # IP-core cycle cost vs accuracy (--parallelism)
-    python -m repro ser             # E7 — DS-SS vs FSK SER sweep (batched engine)
+    python -m repro ser             # E7 — DS-SS vs FSK SER sweep
     python -m repro scenarios       # list the sweepable experiment scenarios
     python -m repro sweep <name>    # run a scenario sweep (parallel + cached)
     python -m repro trace <file>    # summarise a sweep's trace JSONL
@@ -91,13 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     bitwidth = subparsers.add_parser("bitwidth", help="fixed-point accuracy ablation (E6)")
     bitwidth.add_argument("--trials", type=int, default=12, help="Monte-Carlo trials per word length")
     bitwidth.add_argument("--snr-db", type=float, default=25.0, help="per-sample SNR")
-    bitwidth.add_argument("--jobs", type=int, default=1,
-                          help="worker processes (applies to the --no-batch sweep)")
-    bitwidth.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help="run the whole ablation on the batched fixed-point engine "
-        "(--no-batch runs the scalar datapath trial by trial; results are identical)",
-    )
+    bitwidth.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
 
     lifetime = subparsers.add_parser("lifetime", help="network lifetime by platform (E9)")
     lifetime.add_argument("--grid", type=int, default=5, help="grid side length (grid x grid nodes)")
@@ -109,11 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=0,
         help="run the packet-level network simulator for this many Monte-Carlo "
         "trials per platform (0 = the analytical estimate, the default)",
-    )
-    lifetime.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help="use the vectorised engine (--no-batch runs the scalar/event-loop "
-        "reference; results are identical)",
     )
     lifetime.add_argument("--seed", type=int, default=0,
                           help="base seed for the simulated trials")
@@ -161,15 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     ipcore.add_argument("--trials", type=int, default=8, help="Monte-Carlo trials per level")
     ipcore.add_argument("--snr-db", type=float, default=25.0, help="per-sample SNR")
     ipcore.add_argument("--seed", type=int, default=0, help="base seed for channels/noise")
-    ipcore.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help="run each level's trials through the batched IP-core engine "
-        "(--no-batch walks the scalar FC-block simulator; results are identical)",
-    )
 
-    ser = subparsers.add_parser(
-        "ser", help="DS-SS vs FSK symbol error rate sweep (E7, batched link engine)"
-    )
+    ser = subparsers.add_parser("ser", help="DS-SS vs FSK symbol error rate sweep (E7)")
     ser.add_argument(
         "--snr-db", default="-9,-6,-3,0,3", metavar="V1,V2,...",
         help="comma-separated SNR points in dB (default: -9,-6,-3,0,3); "
@@ -178,10 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     ser.add_argument("--symbols", type=int, default=120, help="symbols per scheme per SNR point")
     ser.add_argument("--frames", type=int, default=10, help="frames per SNR point")
     ser.add_argument("--seed", type=int, default=0, help="base seed for channels/symbols/noise")
-    ser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help="use the batched link engine (--no-batch runs the per-frame reference loop)",
-    )
 
     subparsers.add_parser(
         "scenarios", help="list the sweepable experiment scenarios and their axes"
@@ -448,16 +426,14 @@ def _run_bitwidth(args: argparse.Namespace) -> str:
         snr_db=args.snr_db,
         rng=0,
         jobs=args.jobs,
-        batch=args.batch,
     )
-    engine = "batched engine" if args.batch else "scalar datapath"
     return format_table(
         ["Bits", "Error vs truth", "Support recovery", "Error vs float"],
         [
             (r.word_length, r.mean_normalized_error, r.mean_support_recovery, r.mean_error_vs_float)
             for r in results
         ],
-        title=f"Fixed-point MP accuracy vs word length ({engine})",
+        title="Fixed-point MP accuracy vs word length",
     )
 
 
@@ -487,13 +463,11 @@ def _run_lifetime(args: argparse.Namespace) -> str:
             report_interval_s=args.report_interval_s,
             trials=args.trials,
             base_seed=args.seed,
-            batch=args.batch,
             topology=args.topology,
             mac=mac,
             protocol=protocol,
             mobility=mobility,
         )
-        engine = "batched engine" if args.batch else "event loop"
         rows = [
             (
                 summary.platform,
@@ -513,7 +487,7 @@ def _run_lifetime(args: argparse.Namespace) -> str:
             ["Platform", "Mean lifetime (days)", "Died/trials", "Delivery ratio"],
             rows,
             title=f"{args.grid * args.grid}-node simulated deployment lifetime "
-            f"({args.topology} topology, {args.trials} trials, {engine})",
+            f"({args.topology} topology, {args.trials} trials)",
         )
         if args.jobs != 1:
             table += ("\nnote: --jobs applies to the analytical sweep; simulated "
@@ -524,7 +498,6 @@ def _run_lifetime(args: argparse.Namespace) -> str:
         battery_capacity_j=args.battery_kj * 1e3,
         report_interval_s=args.report_interval_s,
         jobs=args.jobs,
-        batch=args.batch,
         topology=args.topology,
     )
     return format_table(
@@ -545,9 +518,7 @@ def _run_ipcore(args: argparse.Namespace) -> str:
         num_trials=args.trials,
         snr_db=args.snr_db,
         rng=args.seed,
-        batch=args.batch,
     )
-    engine = "batched engine" if args.batch else "scalar FC-block walk"
     table = format_table(
         ["P", "Cycles", "MF cycles", "Iter cycles", "Time (us)",
          "Error vs truth", "Support recovery", "Error vs float"],
@@ -560,7 +531,7 @@ def _run_ipcore(args: argparse.Namespace) -> str:
             )
             for r in results
         ],
-        title=f"IP core — cycle cost vs accuracy at {args.word_length} bits ({engine})",
+        title=f"IP core — cycle cost vs accuracy at {args.word_length} bits",
     )
     return (
         f"{table}\n"
@@ -585,20 +556,18 @@ def _run_ser(args: argparse.Namespace) -> str:
         snr_points_db=snr_points,
         num_symbols=args.symbols,
         rng=args.seed,
-        batch=args.batch,
         num_frames=args.frames,
     )
     elapsed = time.perf_counter() - start
-    engine = "batched engine" if args.batch else "per-frame reference"
     table = format_table(
         ["SNR (dB)", "DS-SS SER", "FSK SER"],
         [
             (d.snr_db, round(d.symbol_error_rate, 4), round(f.symbol_error_rate, 4))
             for d, f in zip(curves["DSSS"], curves["FSK"])
         ],
-        title=f"E7 — symbol error rate, DS-SS vs FSK ({engine})",
+        title="E7 — symbol error rate, DS-SS vs FSK",
     )
-    return f"{table}\nelapsed: {elapsed:.3f}s ({engine})"
+    return f"{table}\nelapsed: {elapsed:.3f}s"
 
 
 def _parse_axis_value(token: str) -> int | float | str | bool:

@@ -8,9 +8,6 @@ Modules
 * :mod:`repro.core.fixedpoint_mp` — a bit-accurate fixed-point MP that models
   the FPGA datapath at a configurable word length (scalar and batched
   datapaths, pinned bit-identical on raw integer codes).
-* :mod:`repro.core.batch` — the batched fixed-point engine that runs whole
-  bitwidth-ablation sweeps (all trials x all word lengths) as array
-  operations.
 * :mod:`repro.core.ipcore` — a functional + cycle-level simulator of the
   Filter-and-Cancel IP core of Figure 5, parameterised by the number of FC
   blocks (level of parallelism), with a batched engine and a three-way
@@ -49,7 +46,6 @@ from repro.core.ipcore import (
     check_conformance,
 )
 from repro.core.dse import DesignPoint, DesignPointEvaluation, DesignSpaceExplorer
-from repro.core.batch import BatchFixedPointMPEngine
 
 __all__ = [
     "BatchMatchingPursuitResult",
@@ -62,7 +58,6 @@ __all__ = [
     "FixedPointMatchingPursuit",
     "FixedPointEstimate",
     "BatchFixedPointEstimate",
-    "BatchFixedPointMPEngine",
     "coefficient_mse",
     "normalized_channel_error",
     "support_recovery_rate",

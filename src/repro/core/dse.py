@@ -65,7 +65,7 @@ class DesignPointEvaluation:
     The accuracy columns are populated only when the explorer runs with
     ``accuracy_trials > 0``: they are the E6 channel-estimation quality of
     the point's word length (mean normalised error against the true channel
-    and mean support recovery), evaluated on the batched fixed-point engine.
+    and mean support recovery), evaluated by a ``fixedpoint-bitwidth`` sweep.
     """
 
     point: DesignPoint
@@ -117,11 +117,6 @@ class DesignSpaceExplorer:
         default — skips the accuracy evaluation entirely, keeping the pure
         area/timing/power sweep cheap.  The accuracy model is the AquaModem
         waveform geometry, so it requires the paper's 112/224 problem size.
-    accuracy_batch:
-        Run the accuracy trials on the batched fixed-point engine (default)
-        or on the scalar datapath; the two are pinned bit-identical, so the
-        columns are the same either way — the flag exists for
-        cross-validation and benchmarking.
     accuracy_seed, accuracy_snr_db, accuracy_channel_paths:
         Problem parameters of the accuracy trials (paired seeds: every word
         length estimates the same channels).
@@ -138,7 +133,6 @@ class DesignSpaceExplorer:
     include_infeasible: bool = False
     real_time_deadline_s: float = REAL_TIME_DEADLINE_S
     accuracy_trials: int = 0
-    accuracy_batch: bool = True
     accuracy_seed: int = 0
     accuracy_snr_db: float = 25.0
     accuracy_channel_paths: int = 4
@@ -180,16 +174,16 @@ class DesignSpaceExplorer:
     def _accuracy_columns(self, word_length: int) -> tuple[float | None, float | None]:
         """The (mean error, mean support recovery) of one word length.
 
-        The first request runs one batched-engine sweep over *all* of the
-        explorer's bit widths at once (paired seeds, shared channel draws);
-        later requests — including word lengths outside ``bit_widths`` —
-        fill the cache incrementally.
+        The first request runs one ``fixedpoint-bitwidth`` sweep over *all*
+        of the explorer's bit widths at once (paired seeds, shared channel
+        draws); later requests — including word lengths outside
+        ``bit_widths`` — fill the cache incrementally.
         """
         if self.accuracy_trials <= 0:
             return None, None
         if word_length not in self._accuracy_cache:
-            from repro.core.batch import BatchFixedPointMPEngine
             from repro.experiments.registry import get_scenario
+            from repro.experiments.runner import run_sweep
 
             missing = sorted(
                 ({int(bits) for bits in self.bit_widths} | {int(word_length)})
@@ -205,7 +199,7 @@ class DesignSpaceExplorer:
                 )
                 .with_seed(base_seed=self.accuracy_seed, replicates=self.accuracy_trials)
             )
-            result = BatchFixedPointMPEngine().run_spec(spec, batch=self.accuracy_batch)
+            result = run_sweep(spec)
             errors = result.group_mean(by="word_length", metric="normalized_error")
             supports = result.group_mean(by="word_length", metric="support_recovery")
             for bits in missing:

@@ -2,7 +2,10 @@
 
 A :class:`Scenario` couples a *trial function* — ``(params, seed) -> metrics``
 — with a default :class:`~repro.experiments.spec.SweepSpec` describing the
-interesting axes.  Scenarios are looked up by name (also from worker
+interesting axes.  A scenario may also define ``run_batch`` — the same
+metrics for a whole list of ``(params, seed)`` points in one call — which the
+sweep runner then uses for every cache miss; ``run_trial`` stays the per-trial
+oracle it must equal.  Scenarios are looked up by name (also from worker
 processes, so trial functions stay importable module-level callables) and the
 registry ships with eight built-ins spanning every layer of the codebase:
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,6 +59,8 @@ from repro.network.topology import (
     random_deployment,
 )
 from repro.network.traffic import PeriodicTraffic
+from repro.telemetry.metrics import counter, histogram
+from repro.telemetry.tracing import span
 
 __all__ = [
     "Scenario",
@@ -65,8 +70,6 @@ __all__ = [
     "scenario_names",
     "fixedpoint_trial_metrics",
     "trial_channel_problem",
-    "trial_config_key",
-    "trial_estimator",
     "trial_float_reference",
     "trial_ipcore_engine",
     "TABLE3_PLATFORM_ENERGIES_UJ",
@@ -82,10 +85,20 @@ TABLE3_PLATFORM_ENERGIES_UJ: dict[str, float] = {
     "Virtex-4 112FC 8bit": 9.50,
 }
 
+# per-group telemetry of the fixed-point run_batch (never per trial)
+_FIXEDPOINT_TRIALS = counter("engine.fixedpoint.trials")
+_FIXEDPOINT_GROUP_SIZE = histogram("engine.fixedpoint.batch_size")
+
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named, sweepable experiment."""
+    """One named, sweepable experiment.
+
+    ``run_trial(params, seed)`` returns one trial's metrics.  The optional
+    ``run_batch(points)`` takes a list of ``(params, seed)`` pairs and returns
+    their metrics in the same order; its output must compare ``==`` to
+    ``[run_trial(params, seed) for params, seed in points]``.
+    """
 
     name: str
     description: str
@@ -93,6 +106,9 @@ class Scenario:
     version: str
     run_trial: Callable[[Mapping[str, Any], int], Mapping[str, Any]]
     default_spec: SweepSpec
+    run_batch: Callable[
+        [Sequence[tuple[Mapping[str, Any], int]]], Sequence[Mapping[str, Any]]
+    ] | None = None
 
     @property
     def spec(self) -> SweepSpec:
@@ -237,23 +253,13 @@ def _platform_comparison(num_paths: int) -> PlatformComparison:
 
 
 # --------------------------------------------------------------------------- #
-# public problem builders (shared with the batched fixed-point engine)
+# public problem builders (shared with the IP-core parallelism study)
 #
-# `repro.core.batch.BatchFixedPointMPEngine` runs whole bitwidth sweeps
-# without going through `run_sweep`, but must see the *identical* problems
-# the scalar trials see.  These helpers expose the memoised problem/estimator
-# builders above, so both paths draw the same RNG streams and literally share
-# the cached channel draws and float references within a process.
+# `repro.analysis.ablations.ipcore_parallelism_study` estimates the very
+# problems the scenario trials see.  These helpers expose the memoised
+# builders above, so both draw the same RNG streams and share the cached
+# channel draws and float references within a process.
 # --------------------------------------------------------------------------- #
-def trial_config_key(params: Mapping[str, Any]) -> tuple:
-    """A hashable signature of the waveform-configuration fields of a trial.
-
-    Two parameter mappings with the same signature build the same matrices,
-    estimators and problems; the batched engine groups trial points by it.
-    """
-    return _config_key(params)
-
-
 def trial_channel_problem(params: Mapping[str, Any], seed: int):
     """The (channel, true coefficients, received) problem of one trial point."""
     return _channel_problem(
@@ -276,19 +282,14 @@ def trial_float_reference(params: Mapping[str, Any], seed: int):
     )
 
 
-def trial_estimator(params: Mapping[str, Any], word_length: int) -> FixedPointMatchingPursuit:
-    """The (memoised) fixed-point estimator of one trial point."""
-    return _fixed_point_estimator(_config_key(params), int(word_length))
-
-
 def trial_ipcore_engine(
     params: Mapping[str, Any], num_fc_blocks: int, word_length: int,
 ) -> BatchIPCoreEngine:
     """The (memoised) batched IP-core engine of one trial point.
 
     The engine exposes its scalar :class:`~repro.core.ipcore.simulator.IPCoreSimulator`
-    as ``.core``, so both datapath routes of the ``ipcore-parallelism``
-    scenario share one set of quantised matrices.
+    as ``.core`` — the per-trial oracle of the ``ipcore-parallelism``
+    scenario — so both datapath routes share one set of quantised matrices.
     """
     return _ipcore_engine(_config_key(params), int(num_fc_blocks), int(word_length))
 
@@ -296,10 +297,9 @@ def trial_ipcore_engine(
 def fixedpoint_trial_metrics(channel, true_f, reference, estimate) -> dict[str, Any]:
     """The E6 accuracy metrics of one fixed-point estimate.
 
-    Shared by the scalar trial function and the batched engine so both
+    Shared by the per-trial oracles and the ``run_batch`` functions, so both
     evaluate the identical float expressions on identical coefficient arrays
-    — which is what lets the engine's records be compared to the sweep's
-    with ``==``.
+    — which is what lets their records be compared with ``==``.
     """
     vs_float = (
         normalized_channel_error(reference.coefficients, estimate.coefficients)
@@ -345,17 +345,11 @@ def _topology_routing(
 # trial functions (module-level so worker processes can run them)
 # --------------------------------------------------------------------------- #
 def _modem_ser_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
-    """One SER measurement of one scheme at one SNR point.
-
-    ``batch`` selects the batched link engine (the default) or the per-frame
-    reference loop; both produce identical counts for a given seed, so the
-    axis exists for benchmarking and cross-validation sweeps.
-    """
+    """One SER measurement of one scheme at one SNR point (batched link engine)."""
     simulator = LinkSimulator(
         config=_config_from(params),
         num_channel_paths=int(params["num_channel_paths"]),
         rng=seed,
-        batch=bool(params.get("batch", True)),
     )
     result = simulator.run(
         str(params["scheme"]),
@@ -370,25 +364,79 @@ def _modem_ser_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
     }
 
 
+def _grouped_problems(points, group_key):
+    """Group ``(params, seed)`` points and fetch each group's problems.
+
+    Yields ``(key, rows, problems, received)`` per distinct
+    ``group_key(params)``: the points' positions, their (channel, true
+    coefficients, received, float reference) tuples and the stacked receive
+    vectors.  Problems are held here, so the sharing across groups that
+    paired seeds promise survives batches larger than the memoisation
+    windows of the builders.
+    """
+    groups: dict[Any, list[int]] = {}
+    for row, (params, _) in enumerate(points):
+        groups.setdefault(group_key(params), []).append(row)
+    problems: dict[tuple, tuple] = {}
+    for key, rows in groups.items():
+        group = []
+        for row in rows:
+            params, seed = points[row]
+            problem_key = (
+                _config_key(params), int(params["num_channel_paths"]),
+                float(params["snr_db"]), int(seed),
+            )
+            if problem_key not in problems:
+                problems[problem_key] = (
+                    *trial_channel_problem(params, seed),
+                    trial_float_reference(params, seed),
+                )
+            group.append(problems[problem_key])
+        yield key, rows, group, np.stack([problem[2] for problem in group])
+
+
 def _fixedpoint_bitwidth_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
     """Fixed-point vs floating-point MP accuracy on one random channel.
 
-    ``batch`` routes this trial's estimate through the batched datapath as a
-    one-row batch (``estimate_batch``) instead of the scalar executable
-    specification; the two are bit-identical on raw integer codes, so the
-    axis exists for cross-validation sweeps.  Whole-sweep batching — all
-    trials of all word lengths at once — lives in
-    :class:`repro.core.batch.BatchFixedPointMPEngine`, which shares this
-    trial's memoised problems and metrics.
+    The per-trial oracle: the scalar executable specification
+    :meth:`~repro.core.fixedpoint_mp.FixedPointMatchingPursuit.estimate`.
     """
     channel, true_f, received = trial_channel_problem(params, seed)
-    reference = trial_float_reference(params, seed)
-    estimator = trial_estimator(params, int(params["word_length"]))
-    if bool(params.get("batch", False)):
-        estimate = estimator.estimate_batch(received[np.newaxis, :])[0]
-    else:
-        estimate = estimator.estimate(received)
-    return fixedpoint_trial_metrics(channel, true_f, reference, estimate)
+    estimator = _fixed_point_estimator(_config_key(params), int(params["word_length"]))
+    return fixedpoint_trial_metrics(
+        channel, true_f, trial_float_reference(params, seed), estimator.estimate(received)
+    )
+
+
+def _fixedpoint_bitwidth_batch(points) -> list[dict[str, Any]]:
+    """``run_batch`` of ``fixedpoint-bitwidth``: one ``estimate_batch`` per word length.
+
+    Points are grouped by word length and waveform configuration; raw integer
+    codes of ``estimate_batch`` are pinned ``==`` to the scalar ``estimate``,
+    so the metrics equal :func:`_fixedpoint_bitwidth_trial`'s.
+    """
+    metrics: list[Any] = [None] * len(points)
+    for (word_length, config_key), rows, problems, received in _grouped_problems(
+        points, lambda params: (int(params["word_length"]), _config_key(params))
+    ):
+        with span("engine.fixedpoint.group", word_length=word_length, batch_size=len(rows)):
+            _FIXEDPOINT_GROUP_SIZE.observe(len(rows))
+            estimates = _fixed_point_estimator(config_key, word_length).estimate_batch(received)
+            for position, (row, problem) in enumerate(zip(rows, problems)):
+                channel, true_f, _, reference = problem
+                metrics[row] = fixedpoint_trial_metrics(
+                    channel, true_f, reference, estimates[position]
+                )
+    _FIXEDPOINT_TRIALS.inc(len(points))
+    return metrics
+
+
+def _ipcore_metrics(channel, true_f, reference, estimate, schedule) -> dict[str, Any]:
+    metrics = fixedpoint_trial_metrics(channel, true_f, reference, estimate)
+    metrics["total_cycles"] = schedule.total_cycles
+    metrics["matched_filter_cycles"] = schedule.matched_filter_cycles
+    metrics["iteration_cycles"] = schedule.iteration_cycles
+    return metrics
 
 
 def _ipcore_parallelism_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
@@ -398,27 +446,38 @@ def _ipcore_parallelism_trial(params: Mapping[str, Any], seed: int) -> dict[str,
     a scheduling choice — the conformance contract of
     :mod:`repro.core.ipcore.conformance`), so across the ``num_fc_blocks``
     axis the accuracy columns are constant while the cycle columns fall as
-    Ns/P.  ``batch`` routes the trial through the batched engine as a
-    one-row batch instead of the scalar FC-block walk; the two produce
-    identical records, so the axis exists for cross-validation sweeps.
+    Ns/P.  The per-trial oracle walks the scalar FC blocks
+    (:meth:`~repro.core.ipcore.simulator.IPCoreSimulator.estimate`).
     """
     channel, true_f, received = trial_channel_problem(params, seed)
-    reference = trial_float_reference(params, seed)
     engine = trial_ipcore_engine(
         params, int(params["num_fc_blocks"]), int(params["word_length"])
     )
-    if bool(params.get("batch", True)):
-        run = engine.estimate_batch(received[np.newaxis, :])
-        estimate = run.result[0]
-        schedule = run.schedule
-    else:
-        scalar_run = engine.core.estimate(received)
-        estimate = scalar_run.result
-        schedule = scalar_run.schedule
-    metrics = fixedpoint_trial_metrics(channel, true_f, reference, estimate)
-    metrics["total_cycles"] = schedule.total_cycles
-    metrics["matched_filter_cycles"] = schedule.matched_filter_cycles
-    metrics["iteration_cycles"] = schedule.iteration_cycles
+    run = engine.core.estimate(received)
+    return _ipcore_metrics(
+        channel, true_f, trial_float_reference(params, seed), run.result, run.schedule
+    )
+
+
+def _ipcore_parallelism_batch(points) -> list[dict[str, Any]]:
+    """``run_batch`` of ``ipcore-parallelism``: one ``estimate_batch`` per design point.
+
+    Points are grouped by ``(num_fc_blocks, word_length, configuration)``;
+    the batched engine is pinned ``==`` to the scalar FC-block walk, so the
+    metrics equal :func:`_ipcore_parallelism_trial`'s.
+    """
+    metrics: list[Any] = [None] * len(points)
+    for (num_fc_blocks, word_length, config_key), rows, problems, received in (
+        _grouped_problems(points, lambda params: (
+            int(params["num_fc_blocks"]), int(params["word_length"]), _config_key(params)
+        ))
+    ):
+        run = _ipcore_engine(config_key, num_fc_blocks, word_length).estimate_batch(received)
+        for position, (row, problem) in enumerate(zip(rows, problems)):
+            channel, true_f, _, reference = problem
+            metrics[row] = _ipcore_metrics(
+                channel, true_f, reference, run.result[position], run.schedule
+            )
     return metrics
 
 
@@ -465,10 +524,7 @@ def _mp_refinement_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]
 def _network_lifetime_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
     """Deployment lifetime (days) of one platform on one network configuration.
 
-    ``topology`` selects the deployment geometry (``grid`` or ``random``) and
-    ``batch`` the vectorised or scalar analytical estimator; both produce
-    identical lifetimes, so the axes exist for cross-validation and
-    benchmarking sweeps.
+    ``topology`` selects the deployment geometry (``grid`` or ``random``).
     """
     config = _config_from(params)
     platform = str(params["platform"])
@@ -497,7 +553,6 @@ def _network_lifetime_trial(params: Mapping[str, Any], seed: int) -> dict[str, A
         platform_processing_energy_j={platform: energy_uj * 1e-6},
         platform_idle_power_w=idle_power_w,
         base_budget=base_budget,
-        batch=bool(params.get("batch", True)),
     )
     return {"lifetime_days": lifetimes_s[platform] / 86_400.0}
 
@@ -557,7 +612,6 @@ def _contention_simulator(params: Mapping[str, Any], seed: int) -> NetworkSimula
             capture_probability=float(params.get("capture_probability", 0.0)),
         ),
         rng=seed,
-        batch=bool(params.get("batch", True)),
         protocol=protocol,
         mobility=mobility,
     )
@@ -579,10 +633,11 @@ def _contention_metrics(result) -> dict[str, Any]:
 def _network_contention_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
     """Lifetime and delivery of one seeded run under the contention MAC.
 
-    ``protocol`` selects routed forwarding or TTL flooding, ``drift_speed_mps``
-    (> 0) attaches current-drift mobility, and ``batch`` picks the vectorised
-    or per-packet engine — both produce identical records seed for seed,
-    which is what the CI byte-compare smoke pins.
+    ``protocol`` selects routed forwarding or TTL flooding and
+    ``drift_speed_mps`` (> 0) attaches current-drift mobility.  Runs on the
+    vectorised engine; the per-packet event loop
+    (:meth:`~repro.network.simulator.NetworkSimulator.run_event_loop`) is its
+    seed-for-seed oracle, which the CI contention smoke pins.
     """
     simulator = _contention_simulator(params, seed)
     result = simulator.run(
@@ -617,17 +672,12 @@ register(Scenario(
     name="modem-ser-vs-snr",
     description="DS-SS vs FSK symbol error rate over an SNR sweep (experiment E7)",
     layers=("modem", "channel", "dsp"),
-    version="1",
+    version="2",
     run_trial=_modem_ser_trial,
     default_spec=SweepSpec(
         scenario="modem-ser-vs-snr",
         grid={"scheme": ("DSSS", "FSK"), "snr_db": (-6.0, -3.0, 0.0, 3.0, 6.0)},
-        base={
-            "num_symbols": 48, "num_frames": 4, "num_channel_paths": 4,
-            # batched engine by default; `--set batch=false` runs the
-            # per-frame reference (identical counts, just slower)
-            "batch": True,
-        },
+        base={"num_symbols": 48, "num_frames": 4, "num_channel_paths": 4},
         # seeds paired across scheme and SNR (common random numbers): both
         # schemes see the same channels, so the comparison is head-to-head
         seed=SeedPolicy(base_seed=0, replicates=2),
@@ -638,8 +688,9 @@ register(Scenario(
     name="fixedpoint-bitwidth",
     description="fixed-point MP channel-estimation accuracy vs word length (experiment E6)",
     layers=("fixedpoint", "core"),
-    version="2",
+    version="3",
     run_trial=_fixedpoint_bitwidth_trial,
+    run_batch=_fixedpoint_bitwidth_batch,
     default_spec=SweepSpec(
         scenario="fixedpoint-bitwidth",
         grid={"word_length": (4, 6, 8, 10, 12, 16)},
@@ -647,10 +698,6 @@ register(Scenario(
             "snr_db": 25.0, "num_channel_paths": 4,
             "walsh_symbols": 8, "spreading_chips": 7, "samples_per_chip": 2,
             "num_paths": 6,
-            # scalar executable spec by default; `--set batch=true` runs each
-            # trial through the batched datapath as a one-row batch (raw
-            # integer codes are pinned identical, so metrics match exactly)
-            "batch": False,
         },
         # paired: every word length estimates the same channels
         seed=SeedPolicy(base_seed=0, replicates=12),
@@ -661,8 +708,9 @@ register(Scenario(
     name="ipcore-parallelism",
     description="IP-core accuracy and cycle cost over parallelism and word length (Figure 5 / Table 2)",
     layers=("core", "fixedpoint", "hardware"),
-    version="1",
+    version="2",
     run_trial=_ipcore_parallelism_trial,
+    run_batch=_ipcore_parallelism_batch,
     default_spec=SweepSpec(
         scenario="ipcore-parallelism",
         grid={
@@ -674,9 +722,6 @@ register(Scenario(
             "snr_db": 25.0, "num_channel_paths": 4,
             "walsh_symbols": 8, "spreading_chips": 7, "samples_per_chip": 2,
             "num_paths": 6,
-            # batched engine by default; `--set batch=false` walks the scalar
-            # FC blocks (identical records, just slower)
-            "batch": True,
         },
         # paired: every design point estimates the same channels
         seed=SeedPolicy(base_seed=0, replicates=4),
@@ -718,7 +763,7 @@ register(Scenario(
     name="network-lifetime",
     description="deployment lifetime by platform over topology and report interval (experiment E9)",
     layers=("network", "modem"),
-    version="2",
+    version="3",
     run_trial=_network_lifetime_trial,
     default_spec=SweepSpec(
         scenario="network-lifetime",
@@ -735,10 +780,8 @@ register(Scenario(
             "grid_rows": 5, "grid_cols": 5, "spacing_m": 200.0,
             "communication_range_m": 300.0, "battery_capacity_j": 200_000.0,
             "packet_symbols": 32, "continuous_detection": True,
-            # vectorised estimator by default; `--set batch=false` runs the
-            # scalar per-node reference (identical lifetimes, just slower);
             # topology_seed=1 keeps the default random scatter connected
-            "batch": True, "topology_seed": 1,
+            "topology_seed": 1,
         },
         seed=SeedPolicy(base_seed=0, replicates=1),
     ),
@@ -748,7 +791,7 @@ register(Scenario(
     name="network-contention",
     description="deployment lifetime and delivery ratio under the contention CSMA MAC",
     layers=("network", "modem"),
-    version="1",
+    version="2",
     run_trial=_network_contention_trial,
     default_spec=SweepSpec(
         scenario="network-contention",
@@ -763,10 +806,6 @@ register(Scenario(
             "energy_uj": 500.76, "max_attempts": 5, "capture_probability": 0.0,
             "ttl": 4, "drift_speed_mps": 0.0, "drift_epoch_s": 21_600.0,
             "max_days": 1.0, "topology_seed": 1,
-            # vectorised contention engine by default; `--set batch=false`
-            # replays the per-packet event loop (identical records, slower) —
-            # the CI smoke byte-compares the two
-            "batch": True,
         },
         seed=SeedPolicy(base_seed=0, replicates=2),
     ),
@@ -776,7 +815,7 @@ register(Scenario(
     name="network-pdr-vs-density",
     description="packet delivery ratio vs deployment density under contention (fixed area)",
     layers=("network",),
-    version="1",
+    version="2",
     run_trial=_network_pdr_trial,
     default_spec=SweepSpec(
         scenario="network-pdr-vs-density",
@@ -789,7 +828,7 @@ register(Scenario(
             "energy_uj": 500.76, "channel_load": 0.1, "max_attempts": 5,
             "capture_probability": 0.0, "protocol": "routed", "ttl": 4,
             "drift_speed_mps": 0.0, "drift_epoch_s": 21_600.0,
-            "max_days": 0.05, "topology_seed": 1, "batch": True,
+            "max_days": 0.05, "topology_seed": 1,
         },
         seed=SeedPolicy(base_seed=0, replicates=3),
     ),

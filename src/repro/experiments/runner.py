@@ -7,14 +7,19 @@
 engine skips trials whose result is already in the
 :class:`~repro.experiments.cache.ResultCache`, and executes the rest —
 serially for small batches, or on a ``multiprocessing`` pool with chunked
-dispatch for large ones.  Three properties the tests pin down:
+dispatch for large ones.  A scenario that defines ``run_batch`` receives its
+cache misses in one call (one chunk per worker under a pool); every other
+scenario runs trial by trial through ``run_trial``.  The two are one contract:
+``run_batch`` records compare ``==`` to the per-trial ``run_trial`` oracle, so
+no option chooses between them.  Three properties the tests pin down:
 
 * **determinism** — per-trial seeds come from the seed policy, never from
   execution order, and records are returned in canonical trial order, so a
   serial run and a ``--jobs 8`` run of the same spec produce byte-identical
   records;
-* **resumability** — each trial result is written to the cache the moment it
-  arrives, so an interrupted sweep re-runs only its unfinished trials;
+* **resumability** — each result is written to the cache the moment its
+  trial (or its ``run_batch`` chunk) finishes, so an interrupted sweep
+  re-runs only its unfinished trials;
 * **isolation** — workers resolve the scenario by name from the registry
   (trial functions are module-level), so nothing unpicklable crosses the
   process boundary.
@@ -26,8 +31,9 @@ records, so a killed sweep keeps every finished wave on disk.
 
 The engine is also the telemetry trunk (:mod:`repro.telemetry`): with a
 tracer active it opens ``sweep > sweep.cache_scan / sweep.execute > trial``
-spans (workers buffer their spans and metric deltas and ship them back with
-each trial result for parent-side merging), folds the sweep's metric deltas
+spans (``trial.batch > trial`` for ``run_batch`` chunks; workers buffer their
+spans and metric deltas and ship them back with each chunk for parent-side
+merging), folds the sweep's metric deltas
 into :class:`SweepStats`, and drives an optional throttled ``progress``
 callback — the hook the sweep service polls.
 """
@@ -77,9 +83,8 @@ IDENTITY_KEYS = ("scenario", "trial_index", "replicate", "seed")
 def plain_value(value: Any) -> Any:
     """Coerce a metric/param value to a plain JSON-serialisable scalar.
 
-    Applied to every record value by :func:`run_sweep` and by the batched
-    engines that emit run_sweep-compatible records, so numpy scalars never
-    leak into stored results.
+    Applied to every record value by :func:`run_sweep`, so numpy scalars
+    never leak into stored results.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -92,26 +97,27 @@ def plain_value(value: Any) -> Any:
     )
 
 
-#: One executed trial: its canonical index, tidy record, the spans it
-#: produced (empty unless it ran in a worker with telemetry on), and the
-#: worker's metric delta (``None`` unless it ran in a worker with telemetry
-#: on — in-process trials record straight into the parent tracer/registry).
-_TrialResult = tuple[int, dict[str, Any], tuple[SpanRecord, ...], dict[str, Any] | None]
+#: One executed chunk of trials: its ``(canonical index, tidy record)`` pairs,
+#: the spans it produced (empty unless it ran in a worker with telemetry on),
+#: and the worker's metric delta (``None`` unless it ran in a worker with
+#: telemetry on — in-process chunks record straight into the parent
+#: tracer/registry).
+_ChunkResult = tuple[
+    list[tuple[int, dict[str, Any]]], tuple[SpanRecord, ...], dict[str, Any] | None
+]
 
 
-def _run_trial_record(
-    scenario_name: str, index: int, replicate: int, seed: int, params: Mapping[str, Any]
+def _build_record(
+    scenario_name: str, trial: TrialPoint, metrics: Mapping[str, Any]
 ) -> dict[str, Any]:
-    """Run one trial and build its tidy record."""
-    scenario = get_scenario(scenario_name)
-    metrics = scenario.run_trial(params, seed)
+    """One trial's tidy record: identity columns, then params, then metrics."""
     record: dict[str, Any] = {
         "scenario": scenario_name,
-        "trial_index": index,
-        "replicate": replicate,
-        "seed": seed,
+        "trial_index": trial.index,
+        "replicate": trial.replicate,
+        "seed": trial.seed,
     }
-    for source in (params, metrics):
+    for source in (trial.params, metrics):
         for key, value in source.items():
             if key in IDENTITY_KEYS or (key in record and source is metrics):
                 raise ValueError(
@@ -122,36 +128,63 @@ def _run_trial_record(
     return record
 
 
-def _execute_trial(
-    payload: tuple[str, int, int, int, Mapping[str, Any], bool]
-) -> _TrialResult:
-    """Run one trial (possibly in a worker process), with telemetry capture.
+def _run_chunk(
+    scenario_name: str, trials: Sequence[TrialPoint]
+) -> list[tuple[int, dict[str, Any]]]:
+    """Run one chunk of trials and build their records.
+
+    A scenario with ``run_batch`` gets the whole chunk in one call (one
+    ``trial.batch`` span, plus a zero-duration ``trial`` span per trial so a
+    trace's trial count still equals ``stats.num_trials``); otherwise each
+    trial runs through ``run_trial`` under its own ``trial`` span.
+    """
+    scenario = get_scenario(scenario_name)
+    if scenario.run_batch is None:
+        pairs = []
+        for trial in trials:
+            with span("trial", trial_index=trial.index, seed=trial.seed):
+                metrics = scenario.run_trial(trial.params, trial.seed)
+                pairs.append((trial.index, _build_record(scenario_name, trial, metrics)))
+        return pairs
+    with span("trial.batch", trials=len(trials)):
+        batch = scenario.run_batch([(trial.params, trial.seed) for trial in trials])
+        if len(batch) != len(trials):
+            raise ValueError(
+                f"scenario {scenario_name!r}: run_batch returned {len(batch)} "
+                f"results for {len(trials)} trials"
+            )
+        for trial in trials:
+            with span("trial", trial_index=trial.index, seed=trial.seed, batched=True):
+                pass
+    return [
+        (trial.index, _build_record(scenario_name, trial, metrics))
+        for trial, metrics in zip(trials, batch)
+    ]
+
+
+def _execute_chunk(
+    payload: tuple[str, Sequence[TrialPoint], bool]
+) -> _ChunkResult:
+    """Run one chunk (possibly in a worker process), with telemetry capture.
 
     Three telemetry regimes, decided here so the pool dispatch stays dumb:
 
     * a tracer owned by *this* process is active → in-process (serial)
-      execution: the trial span records straight into it, nothing ships;
+      execution: spans record straight into it, nothing ships;
     * ``telemetry`` flag set but no live local tracer → worker process (the
       forked parent tracer, if any, is a dead copy): buffer spans and the
-      metric delta locally and ship both back with the record;
-    * telemetry off → run bare (the disabled path adds two tuple fields and
-      one contextvar read over the pre-telemetry engine).
+      metric delta locally and ship both back with the records;
+    * telemetry off → run bare.
     """
-    scenario_name, index, replicate, seed, params, telemetry = payload
+    scenario_name, trials, telemetry = payload
     tracer = current_tracer()
-    if tracer is not None and tracer.pid == os.getpid():
-        with span("trial", trial_index=index, seed=seed):
-            record = _run_trial_record(scenario_name, index, replicate, seed, params)
-        return index, record, (), None
-    if telemetry:
+    if telemetry and not (tracer is not None and tracer.pid == os.getpid()):
         before = registry().snapshot()
         with worker_trace() as local:
-            with span("trial", trial_index=index, seed=seed):
-                record = _run_trial_record(scenario_name, index, replicate, seed, params)
+            pairs = _run_chunk(scenario_name, trials)
         delta = snapshot_delta(before, registry().snapshot())
-        return index, record, tuple(local.records), delta or None
-    record = _run_trial_record(scenario_name, index, replicate, seed, params)
-    return index, record, (), None
+        return pairs, tuple(local.records), delta or None
+    return _run_chunk(scenario_name, trials), (), None
 
 
 @dataclass(frozen=True)
@@ -324,12 +357,27 @@ def execute_trials(
         scenario.name, cache_hits, len(pending),
     )
 
-    payloads = [
-        (scenario.name, trial.index, trial.replicate, trial.seed, trial.params,
-         telemetry_on)
-        for trial in pending
-    ]
     result.effective_jobs = max(1, min(int(jobs), len(pending)))
+    serial = result.effective_jobs == 1 or len(pending) < MIN_TRIALS_FOR_POOL
+    if serial:
+        result.effective_jobs = 1
+    # a batch-native scenario gets every pending trial in one run_batch call
+    # (one chunk per worker under a pool); a per-trial scenario runs one
+    # trial per serial chunk, so each result is cached the moment it exists
+    batched = scenario.run_batch is not None
+    if serial:
+        size = (chunk_size or len(pending)) if batched else 1
+    elif chunk_size is not None:
+        size = chunk_size
+    elif batched:
+        size = math.ceil(len(pending) / result.effective_jobs)
+    else:
+        size = _chunk_size(len(pending), result.effective_jobs)
+    size = max(1, size)
+    chunks = [
+        (scenario.name, pending[start:start + size], telemetry_on)
+        for start in range(0, len(pending), size)
+    ]
 
     if reporter is not None:
         reporter.update(
@@ -341,53 +389,47 @@ def execute_trials(
     # the metric increments in a finally so a trial raising mid-pool still
     # counts the trials that did complete; those results are already in the
     # cache (and flushed through on_record) because _collect handles each
-    # one the moment it arrives
+    # chunk the moment it arrives
     executed = 0
     try:
         with span("sweep.execute", pending=len(pending)) as execute_span:
             execute_id = execute_span.span_id if execute_span is not None else None
 
-            def _collect(results: Iterable[_TrialResult]) -> None:
+            def _collect(results: Iterable[_ChunkResult]) -> None:
                 nonlocal executed
-                for index, record, spans, metric_delta in results:
-                    result.records[index] = record
-                    executed += 1
-                    result.executed += 1
-                    if cache is not None:
-                        cache.put(scenario.name, keys[index], record)
+                for pairs, spans, metric_delta in results:
                     if spans and tracer is not None:
                         tracer.adopt(spans, parent_id=execute_id)
                     if metric_delta:
                         registry().merge_delta(metric_delta)
-                    if on_record is not None:
-                        on_record(record)
-                    if reporter is not None:
-                        reporter.update(
-                            completed=completed_before + cache_hits + executed,
-                            executed=executed_before + executed,
-                            cache_hits=hits_before + cache_hits,
-                        )
+                    for index, record in pairs:
+                        result.records[index] = record
+                        executed += 1
+                        result.executed += 1
+                        if cache is not None:
+                            cache.put(scenario.name, keys[index], record)
+                        if on_record is not None:
+                            on_record(record)
+                        if reporter is not None:
+                            reporter.update(
+                                completed=completed_before + cache_hits + executed,
+                                executed=executed_before + executed,
+                                cache_hits=hits_before + cache_hits,
+                            )
 
-            if result.effective_jobs == 1 or len(pending) < MIN_TRIALS_FOR_POOL:
-                result.effective_jobs = 1
-                _collect(map(_execute_trial, payloads))
+            if serial:
+                _collect(map(_execute_chunk, chunks))
             else:
                 ctx = (
                     mp_context if mp_context is not None
                     else multiprocessing.get_context()
-                )
-                size = (
-                    chunk_size if chunk_size is not None
-                    else _chunk_size(len(pending), result.effective_jobs)
                 )
                 logger.debug(
                     "sweep %s: pool dispatch — %d workers, chunk size %d",
                     scenario.name, result.effective_jobs, size,
                 )
                 with ctx.Pool(processes=result.effective_jobs) as pool:
-                    _collect(
-                        pool.imap_unordered(_execute_trial, payloads, chunksize=size)
-                    )
+                    _collect(pool.imap_unordered(_execute_chunk, chunks))
     finally:
         _TRIALS_EXECUTED.inc(executed)
 
@@ -417,7 +459,10 @@ def run_sweep(
         Optional result cache; hits skip execution, fresh results are stored
         as soon as they arrive so interrupted sweeps resume.
     chunk_size:
-        Trials per pool task; defaults to ~4 chunks per worker.
+        Trials per pool task; defaults to ~4 chunks per worker, or one chunk
+        per worker for a scenario with ``run_batch``.  A serial run of such a
+        scenario also passes at most this many trials per ``run_batch`` call
+        (default: all of them).
     mp_context:
         Multiprocessing context override (``fork`` is the default on Linux;
         with a ``spawn`` context only built-in scenarios resolve in workers).

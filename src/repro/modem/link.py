@@ -5,13 +5,14 @@ DS-SS waveforms achieve lower error rates than FSK in the frequency-selective
 underwater channel.  :class:`LinkSimulator` runs both schemes over the same
 multipath channels and noise realisations and reports symbol error rates.
 
-By default the simulation runs on the batched engine
+The simulation runs on the batched engine
 (:class:`repro.modem.batch.BatchLinkEngine`), which vectorises the
-Monte-Carlo loop across frames while consuming an identical RNG stream;
-``batch=False`` selects the original per-frame loop, which is kept as the
-executable specification (the same role :func:`matching_pursuit_naive` plays
-for the vectorised Matching Pursuits) and is pinned seed-for-seed equal to
-the batched engine by ``tests/modem/test_batch_equivalence.py``.
+Monte-Carlo loop across frames while consuming an identical RNG stream.  The
+original per-frame loops, :meth:`LinkSimulator.run_dsss_perframe` and
+:meth:`LinkSimulator.run_fsk_perframe`, are kept as the executable
+specification (the same role :func:`matching_pursuit_naive` plays for the
+vectorised Matching Pursuits) and are pinned seed-for-seed equal to the
+batched engine by ``tests/modem/test_batch_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -68,17 +69,12 @@ class LinkSimulator:
         Number of paths of the randomly drawn channels.
     rng:
         Seed or generator for symbols, channels and noise.
-    batch:
-        Run on the batched engine (default); ``False`` selects the per-frame
-        reference loop.  Both paths consume the same RNG stream and return
-        the same counts for a given seed.
     """
 
     config: AquaModemConfig = field(default_factory=AquaModemConfig)
     channel: MultipathChannel | None = None
     num_channel_paths: int = 4
     rng: np.random.Generator | int | None = None
-    batch: bool = True
 
     def __post_init__(self) -> None:
         self.rng = as_rng(self.rng)
@@ -121,9 +117,7 @@ class LinkSimulator:
 
     def run_dsss(self, snr_db: float, num_symbols: int, num_frames: int = 10) -> LinkResult:
         """Simulate the DS-SS + MP + RAKE chain at one SNR point."""
-        if self.batch:
-            return self.engine.run_dsss(snr_db, num_symbols, num_frames)
-        return self.run_dsss_perframe(snr_db, num_symbols, num_frames)
+        return self.engine.run_dsss(snr_db, num_symbols, num_frames)
 
     def run_dsss_perframe(
         self, snr_db: float, num_symbols: int, num_frames: int = 10
@@ -148,9 +142,7 @@ class LinkSimulator:
 
     def run_fsk(self, snr_db: float, num_symbols: int, num_frames: int = 10) -> LinkResult:
         """Simulate the non-coherent FSK chain at one SNR point."""
-        if self.batch:
-            return self.engine.run_fsk(snr_db, num_symbols, num_frames)
-        return self.run_fsk_perframe(snr_db, num_symbols, num_frames)
+        return self.engine.run_fsk(snr_db, num_symbols, num_frames)
 
     def run_fsk_perframe(
         self, snr_db: float, num_symbols: int, num_frames: int = 10
@@ -190,11 +182,7 @@ class LinkSimulator:
         num_frames: int = 10,
     ) -> list[LinkResult]:
         """SER at each SNR point (the batched engine pipelines the points)."""
-        if self.batch:
-            return self.engine.run_curve(scheme, snr_points_db, num_symbols, num_frames)
-        return [
-            self.run(scheme, snr, num_symbols, num_frames) for snr in snr_points_db
-        ]
+        return self.engine.run_curve(scheme, snr_points_db, num_symbols, num_frames)
 
 
 def symbol_error_rate_curve(
@@ -204,13 +192,8 @@ def symbol_error_rate_curve(
     config: AquaModemConfig | None = None,
     rng: np.random.Generator | int | None = None,
     num_frames: int = 10,
-    batch: bool = True,
 ) -> list[LinkResult]:
-    """SER at each SNR point for one scheme (one series of the E7 figure).
-
-    ``batch=False`` runs the per-frame reference loop instead of the batched
-    engine; both return identical counts for a given seed.
-    """
+    """SER at each SNR point for one scheme (one series of the E7 figure)."""
     config = config if config is not None else AquaModemConfig()
-    simulator = LinkSimulator(config=config, rng=rng, batch=batch)
+    simulator = LinkSimulator(config=config, rng=rng)
     return simulator.run_curve(scheme, snr_points_db, num_symbols, num_frames)

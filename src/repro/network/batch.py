@@ -840,19 +840,18 @@ def simulate_network_trials(
     max_time_s: float = 30.0 * 86_400.0,
     stop_at_first_death: bool = True,
     max_events: int = 500_000,
-    batch: bool = True,
 ) -> list[NetworkSimulationResult]:
     """Monte-Carlo network-lifetime trials, batched across seeds.
 
     Runs one independent simulation per seed on a shared deployment and
-    energy model.  With ``batch=True`` (default) and the usual
-    ``stop_at_first_death`` mode, the death scan runs as one
-    (trials x nodes x events) array operation across every live trial
-    simultaneously; each trial's boundary event is then replayed exactly.
+    energy model.  In the usual ``stop_at_first_death`` mode, the death scan
+    runs as one (trials x nodes x events) array operation across every live
+    trial simultaneously; each trial's boundary event is then replayed exactly.
     Contention/flooding/mobility configurations make the charge model
     per-trial dynamic, so they run each trial on its own batched engine
-    instead of the cross-trial scan.  ``batch=False`` runs the per-packet
-    event loop per seed — results are identical either way, seed for seed.
+    instead of the cross-trial scan.  Results equal
+    :meth:`~repro.network.simulator.NetworkSimulator.run_event_loop` seed for
+    seed.
     """
     traffic = traffic if traffic is not None else PeriodicTraffic()
     simulators = [
@@ -864,7 +863,6 @@ def simulate_network_trials(
             battery_capacity_j=battery_capacity_j,
             mac=mac,
             rng=seed,
-            batch=batch,
             protocol=protocol if protocol is not None else RoutedForwarding(),
             mobility=mobility,
         )
@@ -875,8 +873,6 @@ def simulate_network_trials(
         stop_at_first_death=stop_at_first_death,
         max_events=max_events,
     )
-    if not batch:
-        return [sim.run_event_loop(**run_args) for sim in simulators]
     engines = [BatchNetworkEngine(sim) for sim in simulators]
     general = bool(engines) and engines[0]._general
     if not stop_at_first_death or general:

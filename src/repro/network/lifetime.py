@@ -15,11 +15,11 @@ sink).
 :func:`lifetime_by_platform` runs this estimate for a set of hardware
 platforms that differ only in their signal-processing energy — the bridge
 between the paper's per-estimation energy numbers and the sensor-network
-motivation of its introduction (experiment E9).  By default it evaluates
-every platform and every node in one NumPy broadcast
-(``platforms x nodes``); ``batch=False`` selects the per-node scalar loop of
-:func:`analytical_node_lifetime`, which is kept as the executable
-specification — both paths produce identical floats.
+motivation of its introduction (experiment E9).  It evaluates every
+platform and every node in one NumPy broadcast (``platforms x nodes``);
+:func:`lifetime_by_platform_per_node`, the per-node scalar loop of
+:func:`analytical_node_lifetime`, is kept as the executable specification —
+both produce identical floats.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "NodeLifetimeEstimate",
     "analytical_node_lifetime",
     "lifetime_by_platform",
+    "lifetime_by_platform_per_node",
     "subtree_sizes",
 ]
 
@@ -165,7 +166,6 @@ def lifetime_by_platform(
     platform_processing_energy_j: dict[str, float],
     platform_idle_power_w: dict[str, float] | None = None,
     base_budget: ModemEnergyBudget | None = None,
-    batch: bool = True,
 ) -> dict[str, float]:
     """Deployment lifetime (seconds) for each candidate processing platform.
 
@@ -181,22 +181,10 @@ def lifetime_by_platform(
     base_budget:
         Template for the non-processing parameters (transmit power, front end);
         defaults to :class:`ModemEnergyBudget`'s defaults.
-    batch:
-        Evaluate all platforms and nodes in one NumPy broadcast (default);
-        ``False`` runs the scalar per-node loop.  The floats are identical.
     """
     if not platform_processing_energy_j:
         raise ValueError("at least one platform must be given")
     base = base_budget if base_budget is not None else ModemEnergyBudget()
-
-    if not batch:
-        results: dict[str, float] = {}
-        for label, processing_energy in platform_processing_energy_j.items():
-            budget = _platform_budget(base, processing_energy, platform_idle_power_w, label)
-            estimates = analytical_node_lifetime(routing, budget, traffic, battery_capacity_j)
-            results[label] = min(e.lifetime_s for e in estimates.values())
-        return results
-
     check_positive("battery_capacity_j", battery_capacity_j)
     symbols = traffic.packet_symbols
     interval = traffic.report_interval_s
@@ -228,3 +216,27 @@ def lifetime_by_platform(
     with np.errstate(divide="ignore"):
         lifetime = np.where(power > 0, battery_capacity_j / power, np.inf)
     return {label: float(np.min(lifetime[index])) for index, label in enumerate(labels)}
+
+
+def lifetime_by_platform_per_node(
+    routing: RoutingTable,
+    traffic: PeriodicTraffic,
+    battery_capacity_j: float,
+    platform_processing_energy_j: dict[str, float],
+    platform_idle_power_w: dict[str, float] | None = None,
+    base_budget: ModemEnergyBudget | None = None,
+) -> dict[str, float]:
+    """:func:`lifetime_by_platform` as a per-node scalar loop (the executable spec).
+
+    Runs :func:`analytical_node_lifetime` once per platform; the broadcast in
+    :func:`lifetime_by_platform` reproduces these floats exactly.
+    """
+    if not platform_processing_energy_j:
+        raise ValueError("at least one platform must be given")
+    base = base_budget if base_budget is not None else ModemEnergyBudget()
+    results: dict[str, float] = {}
+    for label, processing_energy in platform_processing_energy_j.items():
+        budget = _platform_budget(base, processing_energy, platform_idle_power_w, label)
+        estimates = analytical_node_lifetime(routing, budget, traffic, battery_capacity_j)
+        results[label] = min(e.lifetime_s for e in estimates.values())
+    return results

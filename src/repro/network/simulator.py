@@ -23,12 +23,12 @@ The simulation runs until a stop condition (first node death or a maximum
 simulated time) and reports per-node energy attribution and the deployment
 lifetime — the quantity experiment E9 compares across hardware platforms.
 
-By default :meth:`NetworkSimulator.run` executes on the vectorised
+:meth:`NetworkSimulator.run` executes on the vectorised
 :class:`repro.network.batch.BatchNetworkEngine`, which replaces the
-per-packet event loop with round-based NumPy accounting; ``batch=False``
-selects the original event loop, which is kept as the executable
+per-packet event loop with round-based NumPy accounting.  The original event
+loop, :meth:`NetworkSimulator.run_event_loop`, is kept as the executable
 specification (the same role the per-frame loop plays for the batched link
-engine of PR 2) and is pinned bit-for-bit equal to the batched engine by
+engine) and is pinned bit-for-bit equal to the batched engine by
 ``tests/network/test_batch_equivalence.py``.
 """
 
@@ -140,10 +140,6 @@ class NetworkSimulator:
     rng:
         Seed or generator for traffic jitter (and, with a contention MAC, the
         contention stream's seed draw).
-    batch:
-        Run on the vectorised batch engine (default); ``False`` selects the
-        per-packet event loop.  Both paths produce identical results for a
-        given seed.
     protocol:
         :class:`~repro.network.routing.RoutedForwarding` (default) or
         :class:`~repro.network.routing.TtlFlooding`.
@@ -160,7 +156,6 @@ class NetworkSimulator:
     battery_capacity_j: float = 50_000.0
     mac: TDMASchedule | SlottedAloha | CsmaMac | None = None
     rng: np.random.Generator | int | None = None
-    batch: bool = True
     protocol: RoutedForwarding | TtlFlooding = field(default_factory=RoutedForwarding)
     mobility: LinearMobility | None = None
 
@@ -440,7 +435,7 @@ class NetworkSimulator:
         stop_at_first_death: bool = True,
         max_events: int = 500_000,
     ) -> NetworkSimulationResult:
-        """Run the simulation (once per simulator instance).
+        """Run the simulation (once per simulator instance) on the batch engine.
 
         Parameters
         ----------
@@ -452,15 +447,9 @@ class NetworkSimulator:
         max_events:
             Safety cap on processed events.
         """
-        if self.batch:
-            from repro.network.batch import BatchNetworkEngine
+        from repro.network.batch import BatchNetworkEngine
 
-            return BatchNetworkEngine(self).run(
-                max_time_s=max_time_s,
-                stop_at_first_death=stop_at_first_death,
-                max_events=max_events,
-            )
-        return self.run_event_loop(
+        return BatchNetworkEngine(self).run(
             max_time_s=max_time_s,
             stop_at_first_death=stop_at_first_death,
             max_events=max_events,

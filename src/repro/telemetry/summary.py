@@ -3,8 +3,11 @@
 Takes the flat JSONL span list a traced sweep exports and answers the three
 questions a slow run raises: *what ran* (the span tree, aggregated by name so
 a thousand trials render as one line), *where the time went* (per-stage
-totals over every span of a name), and *which trials were worst* (the
-slowest ``trial`` spans with their identifying attributes).
+totals over every span of a name, with each stage's *self* time — its
+spans' durations minus their children's — as its share of the wall clock,
+plus an ``unattributed`` row for the time no root span covers, so the shares
+of a serial trace sum to 100%), and *which trials were worst* (the slowest
+``trial`` spans with their identifying attributes).
 """
 
 from __future__ import annotations
@@ -17,11 +20,16 @@ from repro.utils.tables import format_table
 
 __all__ = [
     "StageStat",
+    "UNATTRIBUTED",
     "aggregate_stages",
     "aggregate_tree",
     "slowest_spans",
+    "stage_shares",
     "render_trace_summary",
 ]
+
+#: The stage row for wall time that no root span covers.
+UNATTRIBUTED = "unattributed"
 
 
 @dataclass(frozen=True)
@@ -32,6 +40,9 @@ class StageStat:
     count: int
     total_s: float
     max_s: float
+    #: Exclusive time: ``total_s`` minus the time of the spans' direct
+    #: children (never negative; concurrent worker children can exceed it).
+    self_s: float = 0.0
 
     @property
     def mean_s(self) -> float:
@@ -39,19 +50,56 @@ class StageStat:
 
 
 def aggregate_stages(records: Sequence[SpanRecord]) -> list[StageStat]:
-    """Per-name timing totals, sorted by total time (descending)."""
+    """Per-name timing totals and self times, sorted by total time (descending)."""
+    child_time: dict[str, float] = {}
+    for record in records:
+        if record.parent_id is not None:
+            child_time[record.parent_id] = (
+                child_time.get(record.parent_id, 0.0) + record.duration_s
+            )
     counts: dict[str, int] = {}
     totals: dict[str, float] = {}
     maxima: dict[str, float] = {}
+    selfs: dict[str, float] = {}
     for record in records:
         counts[record.name] = counts.get(record.name, 0) + 1
         totals[record.name] = totals.get(record.name, 0.0) + record.duration_s
         maxima[record.name] = max(maxima.get(record.name, 0.0), record.duration_s)
+        selfs[record.name] = selfs.get(record.name, 0.0) + max(
+            0.0, record.duration_s - child_time.get(record.span_id, 0.0)
+        )
     stats = [
-        StageStat(name=name, count=counts[name], total_s=totals[name], max_s=maxima[name])
+        StageStat(name=name, count=counts[name], total_s=totals[name],
+                  max_s=maxima[name], self_s=selfs[name])
         for name in counts
     ]
     return sorted(stats, key=lambda stat: (-stat.total_s, stat.name))
+
+
+def _wall_s(records: Sequence[SpanRecord]) -> float:
+    return max(record.end_s for record in records) - min(
+        record.start_s for record in records
+    )
+
+
+def stage_shares(records: Sequence[SpanRecord]) -> dict[str, float]:
+    """Each span name's self time as a fraction of the trace's wall clock.
+
+    The extra ``unattributed`` entry is the wall time no root span covers
+    (a span whose parent is not in the trace counts as a root), so for a
+    serial trace the fractions sum to 1.  An empty or zero-length trace
+    reports all zeros.
+    """
+    if not records:
+        return {UNATTRIBUTED: 0.0}
+    wall_s = _wall_s(records)
+    known = {record.span_id for record in records}
+    rooted = sum(record.duration_s for record in records if record.parent_id not in known)
+    seconds = {stat.name: stat.self_s for stat in aggregate_stages(records)}
+    seconds[UNATTRIBUTED] = max(0.0, wall_s - rooted)
+    return {
+        name: (value / wall_s if wall_s > 0 else 0.0) for name, value in seconds.items()
+    }
 
 
 def aggregate_tree(records: Sequence[SpanRecord]) -> list[tuple[int, StageStat]]:
@@ -116,9 +164,7 @@ def render_trace_summary(
     if not records:
         return "empty trace (0 spans)"
     stages = aggregate_stages(records)
-    wall_s = max(record.end_s for record in records) - min(
-        record.start_s for record in records
-    )
+    wall_s = _wall_s(records)
     sections = [f"{len(records)} spans, {wall_s:.3f}s wall time"]
 
     tree_rows = []
@@ -132,18 +178,26 @@ def render_trace_summary(
         tree_rows, title="Span tree (same-named siblings folded)",
     ))
 
-    grand_total = sum(stat.total_s for stat in stages)
+    shares = stage_shares(records)
+
+    def share(name: str) -> str:
+        return f"{shares[name]:.0%}" if wall_s > 0 else "-"
+
+    rows = [
+        (
+            stat.name, stat.count, f"{stat.total_s:.4f}", f"{stat.self_s:.4f}",
+            f"{stat.mean_s * 1e3:.2f}", share(stat.name),
+        )
+        for stat in stages
+    ]
+    rows.append((
+        UNATTRIBUTED, "-", "-", f"{shares[UNATTRIBUTED] * wall_s:.4f}", "-",
+        share(UNATTRIBUTED),
+    ))
     sections.append(format_table(
-        ["Stage", "Count", "Total (s)", "Mean (ms)", "Share"],
-        [
-            (
-                stat.name, stat.count, f"{stat.total_s:.4f}",
-                f"{stat.mean_s * 1e3:.2f}",
-                f"{stat.total_s / grand_total:.0%}" if grand_total > 0 else "-",
-            )
-            for stat in stages
-        ],
-        title="Time per stage (all spans of a name)",
+        ["Stage", "Count", "Total (s)", "Self (s)", "Mean (ms)", "Share"],
+        rows,
+        title="Time per stage (Share = self time / wall time)",
     ))
 
     slow = slowest_spans(records, name=slowest_name, top=slowest)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.analysis.ablations import (
@@ -11,6 +13,7 @@ from repro.analysis.ablations import (
     network_lifetime_study,
     parallelism_ablation,
 )
+from repro.experiments import ResultCache
 from repro.hardware.devices import SPARTAN3_XC3S5000
 
 
@@ -45,18 +48,18 @@ class TestBitwidthAccuracy:
         by_bits = {r.word_length: r for r in results}
         assert by_bits[12].mean_error_vs_float <= by_bits[4].mean_error_vs_float
 
-    def test_batched_engine_identical_to_sweep(self, results):
-        """batch=True (the default) and the scalar sweep agree exactly."""
-        scalar = bitwidth_accuracy_ablation(
-            word_lengths=(4, 8, 12), num_trials=8, snr_db=25.0, rng=0, batch=False
-        )
-        assert scalar == results
-
-    def test_batched_engine_warns_when_jobs_or_cache_ignored(self):
-        with pytest.warns(UserWarning, match="jobs.*ignored"):
-            bitwidth_accuracy_ablation(
-                word_lengths=(8,), num_trials=2, rng=0, batch=True, jobs=4
+    def test_jobs_and_cache_apply_and_change_nothing(self, results, tmp_path):
+        """The ablation is a plain sweep: a parallel, cached run is identical
+        and fills the cache, with no warning about ignored arguments."""
+        cache = ResultCache(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parallel = bitwidth_accuracy_ablation(
+                word_lengths=(4, 8, 12), num_trials=8, snr_db=25.0, rng=0,
+                jobs=2, cache=cache,
             )
+        assert parallel == results
+        assert cache.count("fixedpoint-bitwidth") == 24
 
 
 class TestParallelismAblation:

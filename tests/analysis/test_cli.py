@@ -53,18 +53,21 @@ class TestMain:
     def test_bitwidth(self, capsys):
         assert main(["bitwidth", "--trials", "2"]) == 0
         out = capsys.readouterr().out.lower()
-        assert "word length" in out and "batched engine" in out
+        assert "word length" in out
 
-    def test_bitwidth_no_batch_prints_identical_table(self, capsys):
+    def test_bitwidth_jobs_prints_identical_table(self, capsys):
         assert main(["bitwidth", "--trials", "2"]) == 0
-        batched = capsys.readouterr().out
-        assert main(["bitwidth", "--trials", "2", "--no-batch"]) == 0
-        scalar = capsys.readouterr().out
-        assert "scalar datapath" in scalar
-        # identical numbers, engine label aside
-        assert (
-            batched.replace("batched engine", "X") == scalar.replace("scalar datapath", "X")
-        )
+        serial = capsys.readouterr().out
+        assert main(["bitwidth", "--trials", "2", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+    @pytest.mark.parametrize("command", ["bitwidth", "lifetime", "ipcore", "ser"])
+    @pytest.mark.parametrize("flag", ["--batch", "--no-batch"])
+    def test_batch_switches_are_gone(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_lifetime(self, capsys):
         assert main(["lifetime", "--grid", "3", "--battery-kj", "50"]) == 0

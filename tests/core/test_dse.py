@@ -141,7 +141,7 @@ class TestDesignSpaceExplorer:
 
 
 class TestAccuracyColumn:
-    """The E6 accuracy columns, computed on the batched fixed-point engine."""
+    """The E6 accuracy columns, computed by a ``fixedpoint-bitwidth`` sweep."""
 
     ACCURACY_TRIALS = 4
 
@@ -152,26 +152,33 @@ class TestAccuracyColumn:
         )
         return explorer.explore()
 
-    @pytest.fixture(scope="class")
-    def scalar(self):
-        explorer = DesignSpaceExplorer(
-            include_infeasible=True, accuracy_trials=self.ACCURACY_TRIALS,
-            accuracy_batch=False,
-        )
-        return explorer.explore()
-
     def test_accuracy_columns_populated(self, batched):
         assert all(e.mean_normalized_error is not None for e in batched)
         assert all(e.mean_support_recovery is not None for e in batched)
         assert all(0.0 <= e.mean_support_recovery <= 1.0 for e in batched)
 
-    def test_accuracy_identical_under_batch_true_false(self, batched, scalar):
-        """The engine and the scalar datapath fill identical columns (==)."""
-        assert [
-            (e.mean_normalized_error, e.mean_support_recovery) for e in batched
-        ] == [
-            (e.mean_normalized_error, e.mean_support_recovery) for e in scalar
-        ]
+    def test_accuracy_columns_equal_scalar_oracle(self, batched):
+        """The columns are the word-length means of the scalar-datapath trials."""
+        from repro.experiments import get_scenario
+
+        scenario = get_scenario("fixedpoint-bitwidth")
+        spec = (
+            scenario.spec.with_axis("word_length", (8, 12, 16))
+            .with_base(snr_db=25.0, num_channel_paths=4, num_paths=6)
+            .with_seed(base_seed=0, replicates=self.ACCURACY_TRIALS)
+        )
+        by_bits: dict[int, list] = {}
+        for trial in spec.expand():
+            metrics = scenario.run_trial(trial.params, trial.seed)
+            by_bits.setdefault(trial.params["word_length"], []).append(metrics)
+        for evaluation in batched:
+            trials = by_bits[evaluation.point.word_length]
+            assert evaluation.mean_normalized_error == (
+                sum(m["normalized_error"] for m in trials) / len(trials)
+            )
+            assert evaluation.mean_support_recovery == (
+                sum(m["support_recovery"] for m in trials) / len(trials)
+            )
 
     def test_accuracy_depends_only_on_word_length(self, batched):
         by_width: dict[int, set] = {}

@@ -5,9 +5,8 @@ allowed to drift from the scalar executable specification by even one LSB:
 every comparison here is ``==`` on **raw integer codes** (and on the exact
 floats they scale to), across word lengths {2, 8, 12, 16, 32}, both rounding
 modes and both overflow behaviours — the strongest equivalence claim in the
-repository.  The engine-level tests additionally pin the batched sweep's
-records against :func:`repro.experiments.runner.run_sweep`, record for
-record.
+repository.  The scenario-level tests additionally pin the
+``fixedpoint-bitwidth`` ``run_batch`` against its per-trial scalar oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchFixedPointMPEngine
 from repro.core.fixedpoint_mp import FixedPointMatchingPursuit
 from repro.experiments import get_scenario, run_sweep
 from repro.fixedpoint.quantize import OverflowMode, RoundingMode
@@ -143,33 +141,27 @@ class TestScalarBatchEquivalence:
                 assert raw.max(initial=0) <= fmt.raw_max
 
 
-class TestEngineSweepEquivalence:
+class TestScenarioRunBatchEquivalence:
+    """The scenario's ``run_batch`` (one ``estimate_batch`` per word length
+    and configuration) equals its per-trial scalar oracle, metric for metric."""
+
     @pytest.fixture(scope="class")
     def spec(self):
         return (
             get_scenario("fixedpoint-bitwidth").spec
             .with_axis("word_length", (4, 8, 12))
+            .with_axis("num_paths", (4, 6))  # a second waveform configuration
             .with_seed(base_seed=11, replicates=4)
         )
 
-    def test_engine_records_equal_sweep_records(self, spec):
-        """The batched engine is a drop-in for run_sweep: records compare ==."""
-        sweep = run_sweep(spec)
-        engine = BatchFixedPointMPEngine().run_spec(spec)
-        assert engine.records == sweep.records
+    def test_run_batch_equals_scalar_run_trial(self, spec):
+        scenario = get_scenario("fixedpoint-bitwidth")
+        points = [(trial.params, trial.seed) for trial in spec.expand()]
+        oracle = [scenario.run_trial(params, seed) for params, seed in points]
+        assert scenario.run_batch(points) == oracle
 
-    def test_engine_scalar_fallback_equal_sweep(self, spec):
-        engine = BatchFixedPointMPEngine().run_spec(spec, batch=False)
-        assert engine.records == run_sweep(spec).records
-
-    def test_engine_rejects_foreign_scenarios(self):
-        foreign = get_scenario("platform-energy").spec
-        with pytest.raises(ValueError, match="fixedpoint-bitwidth"):
-            BatchFixedPointMPEngine().run_spec(foreign)
-
-    def test_trial_level_batch_axis_identical(self, spec):
-        """`--set batch=true` (one-row batches inside trials) changes nothing."""
-        scalar = run_sweep(spec)
-        batched = run_sweep(spec.with_base(batch=True))
-        strip = lambda record: {k: v for k, v in record.items() if k != "batch"}  # noqa: E731
-        assert [strip(r) for r in batched.records] == [strip(r) for r in scalar.records]
+    def test_sweep_chunking_does_not_change_records(self, spec):
+        """One run_batch call, per-worker chunks and tiny serial chunks agree."""
+        whole = run_sweep(spec)
+        assert run_sweep(spec, chunk_size=5).records == whole.records
+        assert run_sweep(spec, jobs=2).records == whole.records

@@ -6,9 +6,9 @@ The acceptance contract of the IP-core layer: the scalar
 codes** (``==`` on raw integers, no float tolerances) at P=1 across
 w ∈ {2, 8, 12, 16, 32}, batched == scalar at *every* P of the sweep, and the
 float :func:`matching_pursuit` reference is matched within the documented
-quantisation bounds.  The sweep-level pin additionally checks
-``repro sweep ipcore-parallelism`` produces identical records with
-``batch=True`` and ``batch=False``.
+quantisation bounds.  The sweep-level pin additionally checks that
+``repro sweep ipcore-parallelism`` (batch-native: one ``estimate_batch`` per
+design point) produces the records of the per-trial scalar FC-block walk.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.core.ipcore.conformance import (
 )
 from repro.experiments import get_scenario, run_sweep
 from repro.fixedpoint.quantize import OverflowMode, RoundingMode
+from tests.experiments.oracle import oracle_records
 
 PARALLELISM = DEFAULT_PARALLELISM_LEVELS   # (1, 2, 4, 8, 14, 28, 56, 112)
 WORD_LENGTHS = DEFAULT_WORD_LENGTHS        # (2, 8, 12, 16, 32)
@@ -143,20 +144,15 @@ class TestSweepLevelConformance:
             .with_seed(base_seed=5, replicates=2)
         )
 
-    @staticmethod
-    def _strip_batch(records):
-        return [{k: v for k, v in record.items() if k != "batch"} for record in records]
-
-    def test_sweep_runs_and_batch_axis_changes_nothing(self, spec):
-        """`repro sweep ipcore-parallelism` end-to-end: batch=True/False
-        produce identical records (modulo the recorded axis value itself)."""
-        batched = run_sweep(spec.with_base(batch=True))
-        scalar = run_sweep(spec.with_base(batch=False))
+    def test_sweep_records_equal_scalar_oracle(self, spec):
+        """`repro sweep ipcore-parallelism` end to end: the batch-native sweep
+        equals the scalar FC-block walk of ``run_trial``, record for record."""
+        batched = run_sweep(spec)
         assert batched.stats.num_trials == spec.num_trials
-        assert self._strip_batch(batched.records) == self._strip_batch(scalar.records)
+        assert batched.records == oracle_records(spec)
 
     def test_accuracy_invariant_and_cycles_fall_across_p(self, spec):
-        result = run_sweep(spec.with_base(batch=True))
+        result = run_sweep(spec)
         by_p: dict[int, list] = {}
         for record in result.records:
             if record["word_length"] == 8:

@@ -230,18 +230,36 @@ class TestSequentialStopping:
         assert "success" in str(excinfo.value)
 
 
+#: Batch-native scenarios (waves reach them as one ``run_batch`` call): a
+#: rule on a continuous metric that stops some points early.
+BATCHED = AdaptiveConfig(
+    metric="normalized_error", ci_width=0.25, max_trials=12, min_trials=4, wave_trials=4
+)
+
+
+def _prefix_case(name):
+    """A small sweep of scenario ``name`` and the stopping rule it runs under."""
+    if name == COIN:
+        return get_scenario(COIN).spec, CONVERGING
+    spec = get_scenario(name).spec
+    if name == "fixedpoint-bitwidth":
+        return spec.with_axis("word_length", (4, 12)), BATCHED
+    return spec.with_axis("num_fc_blocks", (1, 14)).with_axis("word_length", (8,)), BATCHED
+
+
 class TestFixedRunPairing:
     """An adaptive run is a byte-for-byte prefix of the ceiling fixed run."""
 
-    def test_merged_store_matches_fixed_run_over_realised_trials(self, tmp_path):
-        spec = get_scenario(COIN).spec
+    @pytest.mark.parametrize("name", [COIN, "fixedpoint-bitwidth", "ipcore-parallelism"])
+    def test_merged_store_matches_fixed_run_over_realised_trials(self, tmp_path, name):
+        spec, config = _prefix_case(name)
         store = SegmentedResultStore(tmp_path / "adaptive", flush_trials=8)
-        adaptive = run_adaptive_sweep(spec, CONVERGING, store=store)
+        adaptive = run_adaptive_sweep(spec, config, store=store)
         merged = store.merge(
             spec=spec.to_dict(), stats=adaptive.stats_payload()
         )
 
-        fixed = run_sweep(spec.with_seed(replicates=CONVERGING.max_trials))
+        fixed = run_sweep(spec.with_seed(replicates=config.max_trials))
         realised = {record["trial_index"] for record in adaptive.records}
         subset = [
             record for record in fixed.records if record["trial_index"] in realised

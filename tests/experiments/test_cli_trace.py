@@ -60,6 +60,26 @@ class TestSweepProgressFlag:
         assert "done in" in err
 
 
+class TestBatchedSweepTrace:
+    """A batch-native sweep (one ``run_batch`` call per chunk) still traces
+    one ``trial`` span per trial, so ``repro trace --check`` holds."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_ipcore_sweep_passes_trace_check(self, tmp_path, capsys, jobs):
+        output = tmp_path / "out"
+        assert main(["sweep", "ipcore-parallelism", "--no-cache", "--replicates", "2",
+                     "--jobs", jobs, "--output", str(output), "--trace"]) == 0
+        capsys.readouterr()
+        assert main(["trace", str(output / "trace.jsonl"), "--check"]) == 0
+        out = capsys.readouterr().out
+        assert "trace check OK" in out
+        assert "manifest cross-check: 18 trial spans == stats.num_trials" in out
+        records = read_trace(output / "trace.jsonl")
+        batches = [r for r in records if r.name == "trial.batch"]
+        assert len(batches) == int(jobs)  # one run_batch chunk per worker
+        assert sum(r.attributes["trials"] for r in batches) == 18
+
+
 class TestTraceCommand:
     def test_summary_report(self, traced_sweep, capsys):
         assert main(["trace", str(traced_sweep / "trace.jsonl")]) == 0

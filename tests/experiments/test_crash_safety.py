@@ -24,7 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import ResultCache, Scenario, register, run_sweep, trial_key
+from repro.experiments import (
+    ResultCache,
+    Scenario,
+    get_scenario,
+    register,
+    run_sweep,
+    trial_key,
+)
 from repro.experiments.cache import code_version_tag
 from repro.experiments.spec import SweepSpec
 
@@ -34,10 +41,14 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 NUM_TRIALS = 40
 SCENARIO = "crash-test"
 
+#: Kill a per-trial probe and both batch-native scenarios (whose cache
+#: entries land one ``run_batch`` chunk at a time).
+SCENARIOS = (SCENARIO, "fixedpoint-bitwidth", "ipcore-parallelism")
+
 CHILD_SCRIPT = f"""
-import sys, time
+import dataclasses, sys, time
 sys.path.insert(0, {SRC!r})
-from repro.experiments import Scenario, register, ResultCache, run_sweep
+from repro.experiments import Scenario, get_scenario, register, ResultCache, run_sweep
 from repro.experiments.spec import SweepSpec
 
 def run_trial(params, seed):
@@ -50,8 +61,15 @@ register(Scenario(
     default_spec=SweepSpec(scenario={SCENARIO!r},
                            grid={{"x": tuple(range({NUM_TRIALS}))}}),
 ))
-from repro.experiments import get_scenario
-run_sweep(get_scenario({SCENARIO!r}).spec, cache=ResultCache(sys.argv[1]))
+spec = SweepSpec.from_json(sys.argv[2])
+scenario = get_scenario(spec.scenario)
+if scenario.run_batch is not None:
+    def slow_batch(points, run_batch=scenario.run_batch):
+        time.sleep(0.1)
+        return run_batch(points)
+    # same name and version, so the cache keys are the real scenario's
+    register(dataclasses.replace(scenario, run_batch=slow_batch))
+run_sweep(spec, cache=ResultCache(sys.argv[1]), chunk_size=2)
 """
 
 
@@ -70,13 +88,35 @@ def _register_parent_side() -> SweepSpec:
     return scenario.spec
 
 
+def _spec(name: str) -> SweepSpec:
+    """A NUM_TRIALS-trial sweep of scenario ``name``."""
+    if name == SCENARIO:
+        return _register_parent_side()
+    spec = get_scenario(name).spec.with_seed(replicates=NUM_TRIALS // 2)
+    if name == "fixedpoint-bitwidth":
+        return spec.with_axis("word_length", (6, 8))
+    return spec.with_axis("num_fc_blocks", (1, 14)).with_axis("word_length", (8,))
+
+
+def _start_child(cache_dir: Path, spec: SweepSpec) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-c", CHILD_SCRIPT, str(cache_dir), spec.to_json()],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+
+
+def _lines(records) -> list[str]:
+    """Records as the result store writes them (one sorted-key JSON line each)."""
+    return [json.dumps(record, sort_keys=True) for record in records]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
 class TestKillDashNine:
-    def test_sigkill_leaves_no_torn_cache_and_resume_completes(self, tmp_path):
+    def test_sigkill_leaves_no_torn_cache_and_resume_completes(self, tmp_path, name):
+        spec = _spec(name)
+        assert spec.num_trials == NUM_TRIALS
         cache_dir = tmp_path / "cache"
-        child = subprocess.Popen(
-            [sys.executable, "-c", CHILD_SCRIPT, str(cache_dir)],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        child = _start_child(cache_dir, spec)
         try:
             # wait until some trials landed, then kill -9 mid-sweep
             deadline = time.monotonic() + 30.0
@@ -103,27 +143,24 @@ class TestKillDashNine:
         survivors = len(cached_files)
         assert survivors < NUM_TRIALS  # it really died mid-run
 
-        # 2) a resubmitted sweep completes, resuming from the cached trials
-        spec = _register_parent_side()
+        # 2) a resubmitted sweep completes, resuming from the cached trials,
+        #    byte-identical to an uninterrupted run
         cache = ResultCache(cache_dir)
         resumed = run_sweep(spec, cache=cache)
         assert resumed.stats.num_trials == NUM_TRIALS
         assert resumed.stats.cache_hits == survivors
         assert resumed.stats.executed == NUM_TRIALS - survivors
-        assert [r["x"] for r in resumed.records] == list(range(NUM_TRIALS))
+        assert _lines(resumed.records) == _lines(run_sweep(spec).records)
         # and nothing was quarantined along the way: no torn files existed
         assert cache.stats.quarantined == 0
         assert list(cache_dir.rglob("*.corrupt")) == []
 
-    def test_cached_records_match_uninterrupted_run(self, tmp_path):
+    def test_cached_records_match_uninterrupted_run(self, tmp_path, name):
         """Trials cached by the killed child byte-match a fresh in-process run."""
-        spec = _register_parent_side()
+        spec = _spec(name)
         fresh = run_sweep(spec)
         cache_dir = tmp_path / "cache"
-        child = subprocess.Popen(
-            [sys.executable, "-c", CHILD_SCRIPT, str(cache_dir)],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        child = _start_child(cache_dir, spec)
         try:
             while len(list(cache_dir.rglob("*.json")) if cache_dir.exists() else []) < 2:
                 assert child.poll() is None, "child finished too fast"
@@ -134,11 +171,12 @@ class TestKillDashNine:
 
         cache = ResultCache(cache_dir)
         code_tag = code_version_tag()
+        version = get_scenario(spec.scenario).version
         seen = 0
         for trial in spec.expand():
-            key = trial_key(SCENARIO, "1", trial.params, trial.seed, code_tag)
-            record = cache.get(SCENARIO, key)
+            key = trial_key(spec.scenario, version, trial.params, trial.seed, code_tag)
+            record = cache.get(spec.scenario, key)
             if record is not None:
                 seen += 1
-                assert record == fresh.records[trial.index]
+                assert _lines([record]) == _lines([fresh.records[trial.index]])
         assert seen >= 2

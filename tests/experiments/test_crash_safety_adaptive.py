@@ -33,6 +33,7 @@ from repro.experiments import (
     ResultCache,
     Scenario,
     SegmentedResultStore,
+    get_scenario,
     register,
     run_adaptive_sweep,
 )
@@ -51,11 +52,18 @@ CONFIG = AdaptiveConfig(
     metric="success", ci_width=0.01, max_trials=24, min_trials=4, wave_trials=4
 )
 
+#: The same never-converging rule on a continuous metric of the two
+#: batch-native scenarios (each wave reaches them as one ``run_batch`` call).
+BATCHED_CONFIG = AdaptiveConfig(
+    metric="normalized_error", ci_width=1e-9, max_trials=24, min_trials=4, wave_trials=4
+)
+
 CHILD_SCRIPT = f"""
-import sys, time
+import dataclasses, json, sys, time
 sys.path.insert(0, {SRC!r})
 from repro.experiments import (
-    Scenario, register, ResultCache, SegmentedResultStore, run_adaptive_sweep,
+    Scenario, get_scenario, register, ResultCache, SegmentedResultStore,
+    run_adaptive_sweep,
 )
 from repro.experiments.adaptive import AdaptiveConfig
 from repro.experiments.spec import SweepSpec
@@ -70,10 +78,16 @@ register(Scenario(
     default_spec=SweepSpec(scenario={SCENARIO!r},
                            grid={{"x": tuple(range({NUM_POINTS}))}}),
 ))
-from repro.experiments import get_scenario
-config = AdaptiveConfig(**{CONFIG.to_dict()!r})
+spec = SweepSpec.from_json(sys.argv[3])
+scenario = get_scenario(spec.scenario)
+if scenario.run_batch is not None:
+    def slow_batch(points, run_batch=scenario.run_batch):
+        time.sleep(0.1)
+        return run_batch(points)
+    # same name and version, so the cache keys are the real scenario's
+    register(dataclasses.replace(scenario, run_batch=slow_batch))
 run_adaptive_sweep(
-    get_scenario({SCENARIO!r}).spec, config,
+    spec, AdaptiveConfig.from_dict(json.loads(sys.argv[4])),
     cache=ResultCache(sys.argv[1]),
     store=SegmentedResultStore(sys.argv[2], flush_trials=4),
 )
@@ -95,10 +109,25 @@ def _register_parent_side() -> SweepSpec:
     return scenario.spec
 
 
-def _run_child_until_killed(cache_dir: Path, store_dir: Path) -> None:
+def _case(name: str) -> tuple[SweepSpec, AdaptiveConfig]:
+    """A NUM_POINTS-point sweep of scenario ``name`` and its stopping rule."""
+    if name == SCENARIO:
+        return _register_parent_side(), CONFIG
+    spec = get_scenario(name).spec
+    if name == "fixedpoint-bitwidth":
+        spec = spec.with_axis("word_length", (4, 6, 8, 12))
+    else:
+        spec = spec.with_axis("num_fc_blocks", (1, 14)).with_axis("word_length", (8, 12))
+    return spec, BATCHED_CONFIG
+
+
+def _run_child_until_killed(
+    cache_dir: Path, store_dir: Path, spec: SweepSpec, config: AdaptiveConfig
+) -> None:
     """Start the child sweep, SIGKILL it once >= 2 segments hit disk."""
     child = subprocess.Popen(
-        [sys.executable, "-c", CHILD_SCRIPT, str(cache_dir), str(store_dir)],
+        [sys.executable, "-c", CHILD_SCRIPT, str(cache_dir), str(store_dir),
+         spec.to_json(), json.dumps(config.to_dict())],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     try:
@@ -118,10 +147,14 @@ def _run_child_until_killed(cache_dir: Path, store_dir: Path) -> None:
 
 
 class TestKillDashNineAdaptive:
-    def test_segments_survive_and_resume_merges_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize(
+        "name", [SCENARIO, "fixedpoint-bitwidth", "ipcore-parallelism"]
+    )
+    def test_segments_survive_and_resume_merges_byte_identical(self, tmp_path, name):
+        spec, config = _case(name)
         cache_dir = tmp_path / "cache"
         store_dir = tmp_path / "results"
-        _run_child_until_killed(cache_dir, store_dir)
+        _run_child_until_killed(cache_dir, store_dir, spec, config)
 
         # 1) nothing torn: every surviving segment is complete, valid JSONL,
         #    internally sorted by trial_index
@@ -131,16 +164,15 @@ class TestKillDashNineAdaptive:
             indexes = []
             for line in path.read_text().splitlines():
                 record = json.loads(line)  # a torn line would raise here
-                assert record["scenario"] == SCENARIO
+                assert record["scenario"] == name
                 indexes.append(record["trial_index"])
             assert indexes == sorted(indexes)
 
         # 2) the resumed run appends — segment numbering continues past the
         #    killed run's files, and every pre-kill segment is left untouched
         before = {path.name: path.read_bytes() for path in survivors}
-        spec = _register_parent_side()
         resumed = run_adaptive_sweep(
-            spec, CONFIG,
+            spec, config,
             cache=ResultCache(cache_dir),
             store=SegmentedResultStore(store_dir, flush_trials=4),
         )
@@ -155,7 +187,7 @@ class TestKillDashNineAdaptive:
         merged = SegmentedResultStore(store_dir).merge()
         clean_dir = tmp_path / "clean"
         clean = run_adaptive_sweep(
-            spec, CONFIG, store=SegmentedResultStore(clean_dir, flush_trials=4)
+            spec, config, store=SegmentedResultStore(clean_dir, flush_trials=4)
         )
         clean_merged = SegmentedResultStore(clean_dir).merge()
         assert merged["jsonl"].read_bytes() == clean_merged["jsonl"].read_bytes()

@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments import Scenario, get_scenario, list_scenarios, register, run_sweep
 from repro.experiments.spec import SeedPolicy, SweepSpec
+from tests.experiments.oracle import oracle_records, scalar_oracles
 
 REQUIRED_SCENARIOS = {
     "modem-ser-vs-snr",
@@ -121,10 +122,10 @@ class TestBuiltinTrials:
         assert errors[1] == errors[112]
         assert cycles[1] == cycles[112] * 112
 
-    def test_network_contention_batch_matches_event_loop_records(self):
-        """The scenario's record payloads are engine-independent: batch=true
-        and batch=false sweeps differ only in the `batch` param itself (the
-        invariant the CI byte-compare smoke pins end to end)."""
+    def test_network_contention_records_match_event_loop(self, monkeypatch):
+        """The vectorised contention engine reproduces the per-packet event
+        loop record for record (the invariant the CI contention smoke pins
+        end to end), on a run where contention really drops packets."""
         spec = (
             get_scenario("network-contention").spec
             .with_axis("protocol", ("routed",))
@@ -132,16 +133,9 @@ class TestBuiltinTrials:
             .with_seed(replicates=1)
             .with_base(num_nodes=9, area_side_m=400.0, max_days=0.2)
         )
-        batched = run_sweep(spec.with_base(batch=True))
-        reference = run_sweep(spec.with_base(batch=False))
-
-        def strip(records):
-            return [
-                {k: v for k, v in record.items() if k != "batch"}
-                for record in records
-            ]
-
-        assert strip(batched.records) == strip(reference.records)
+        batched = run_sweep(spec)
+        scalar_oracles(monkeypatch)
+        assert batched.records == oracle_records(spec)
         (record,) = batched.records
         assert record["packets_dropped"] > 0
         assert 0.0 < record["delivery_ratio"] < 1.0
@@ -167,3 +161,28 @@ class TestBuiltinTrials:
         result = run_sweep(spec)
         vs_float = result.group_mean(by="word_length", metric="error_vs_float")
         assert vs_float[12] <= vs_float[4]
+
+
+class TestScalarOracles:
+    """Every default sweep equals its scenario's scalar oracle, record for record.
+
+    Batch-native scenarios (``run_batch``) and vectorised engines behind
+    ``run_trial`` alike: no user option selects between the default path and
+    the oracle, so this pin is what keeps them one contract.
+    """
+
+    @pytest.mark.parametrize("name", sorted(REQUIRED_SCENARIOS))
+    def test_default_sweep_equals_scalar_oracle(self, name, monkeypatch):
+        spec = get_scenario(name).spec
+        records = run_sweep(spec).records
+        scalar_oracles(monkeypatch)
+        assert records == oracle_records(spec)
+
+    def test_batch_native_scenarios(self):
+        native = {s.name for s in list_scenarios() if s.run_batch is not None}
+        assert native == {"fixedpoint-bitwidth", "ipcore-parallelism"}
+
+    def test_no_scenario_has_a_batch_parameter(self):
+        for scenario in list_scenarios():
+            spec = scenario.spec
+            assert "batch" not in {*spec.grid, *spec.zipped, *spec.base}

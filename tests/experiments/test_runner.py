@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import ResultCache, get_scenario, run_sweep
+from repro.experiments import registry as registry_module
 from repro.experiments.runner import _chunk_size, plain_value
 from repro.experiments.store import read_jsonl, tidy_headers
 from repro.experiments.store import ResultStore
@@ -63,6 +66,73 @@ class TestParallelExecution:
         serial = run_sweep(small_bitwidth_spec, jobs=1)
         chunked = run_sweep(small_bitwidth_spec, jobs=2, chunk_size=2)
         assert chunked.records == serial.records
+
+
+class TestBatchNativeScenarios:
+    """Scenarios with ``run_batch`` get their cache misses in one call."""
+
+    @staticmethod
+    def _spec(name):
+        spec = get_scenario(name).spec.with_seed(replicates=3)
+        if name == "fixedpoint-bitwidth":
+            return spec.with_axis("word_length", (6, 8))
+        return spec.with_axis("num_fc_blocks", (1, 14)).with_axis("word_length", (8,))
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Record every run_batch call of both scenarios (same name and version)."""
+        seen: list[list] = []
+        for name in ("fixedpoint-bitwidth", "ipcore-parallelism"):
+            scenario = get_scenario(name)
+
+            def recording(points, run_batch=scenario.run_batch):
+                seen.append(list(points))
+                return run_batch(points)
+
+            monkeypatch.setitem(
+                registry_module._REGISTRY, name, replace(scenario, run_batch=recording)
+            )
+        return seen
+
+    @pytest.mark.parametrize("name", ["fixedpoint-bitwidth", "ipcore-parallelism"])
+    def test_partly_cached_run_passes_only_the_misses(self, name, calls, tmp_path):
+        spec = self._spec(name)
+        cache = ResultCache(tmp_path)
+        first = run_sweep(spec.with_seed(replicates=1), cache=cache)
+        assert len(calls) == 1 and len(calls[0]) == first.stats.num_trials
+        calls.clear()
+
+        result = run_sweep(spec, cache=cache)
+        assert result.stats.cache_hits == first.stats.num_trials == 2
+        assert result.stats.executed == 4
+        assert len(calls) == 1  # every miss in one run_batch call
+        # paired seeds: replicate 0 of every point is the first run's trial
+        misses = [(t.params, t.seed) for t in spec.expand() if t.replicate > 0]
+        assert calls[0] == misses
+        assert result.records == run_sweep(spec).records
+
+    @pytest.mark.parametrize("name", ["fixedpoint-bitwidth", "ipcore-parallelism"])
+    def test_one_chunk_per_worker(self, name, calls):
+        spec = self._spec(name)
+        result = run_sweep(spec, jobs=2)
+        assert result.stats.jobs == 2
+        assert len(calls) == 0  # the calls ran in the workers
+        assert result.records == run_sweep(spec).records
+        assert len(calls) == 1
+
+    def test_serial_chunk_size_bounds_each_call(self, calls):
+        spec = self._spec("fixedpoint-bitwidth")
+        run_sweep(spec, chunk_size=4)
+        assert [len(points) for points in calls] == [4, 2]
+
+    def test_run_batch_length_mismatch_raises(self, monkeypatch):
+        scenario = get_scenario("fixedpoint-bitwidth")
+        monkeypatch.setitem(
+            registry_module._REGISTRY, scenario.name,
+            replace(scenario, run_batch=lambda points: []),
+        )
+        with pytest.raises(ValueError, match="run_batch returned 0 results for 6"):
+            run_sweep(self._spec("fixedpoint-bitwidth"))
 
 
 class TestHelpers:

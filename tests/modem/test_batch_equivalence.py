@@ -30,6 +30,12 @@ def _counts(result):
     return (result.scheme, result.snr_db, result.symbols_sent, result.symbol_errors)
 
 
+def _perframe(simulator, scheme, snr_db, num_symbols, num_frames):
+    """The per-frame reference loop of ``scheme`` (the executable spec)."""
+    run = simulator.run_dsss_perframe if scheme == "DSSS" else simulator.run_fsk_perframe
+    return run(snr_db, num_symbols, num_frames)
+
+
 class TestLinkEquivalence:
     """Identical RNG streams -> identical LinkResult counts."""
 
@@ -39,10 +45,10 @@ class TestLinkEquivalence:
         policy = SeedPolicy(base_seed=7, replicates=3)
         for replicate in range(policy.replicates):
             seed = policy.trial_seed(replicate, {})
-            reference = LinkSimulator(rng=seed, batch=False).run(
-                scheme, snr_db, num_symbols=48, num_frames=4
+            reference = _perframe(
+                LinkSimulator(rng=seed), scheme, snr_db, num_symbols=48, num_frames=4
             )
-            batched = LinkSimulator(rng=seed, batch=True).run(
+            batched = LinkSimulator(rng=seed).run(
                 scheme, snr_db, num_symbols=48, num_frames=4
             )
             assert _counts(batched) == _counts(reference)
@@ -50,11 +56,13 @@ class TestLinkEquivalence:
     @pytest.mark.parametrize("scheme", ["DSSS", "FSK"])
     def test_curve_counts_match(self, scheme):
         """Whole curves share one generator; the stream stays locked across points."""
-        reference = symbol_error_rate_curve(
-            scheme, list(SNR_POINTS_DB), num_symbols=36, rng=3, num_frames=3, batch=False
-        )
+        simulator = LinkSimulator(rng=3)
+        reference = [
+            _perframe(simulator, scheme, snr, num_symbols=36, num_frames=3)
+            for snr in SNR_POINTS_DB
+        ]
         batched = symbol_error_rate_curve(
-            scheme, list(SNR_POINTS_DB), num_symbols=36, rng=3, num_frames=3, batch=True
+            scheme, list(SNR_POINTS_DB), num_symbols=36, rng=3, num_frames=3
         )
         assert [_counts(r) for r in batched] == [_counts(r) for r in reference]
 
@@ -63,10 +71,10 @@ class TestLinkEquivalence:
         channel = MultipathChannel(
             delays=np.array([0, 9, 23]), gains=np.array([1.0, 0.4 + 0.3j, -0.2j])
         )
-        reference = LinkSimulator(channel=channel, rng=11, batch=False).run(
-            scheme, 4.0, num_symbols=30, num_frames=3
+        reference = _perframe(
+            LinkSimulator(channel=channel, rng=11), scheme, 4.0, num_symbols=30, num_frames=3
         )
-        batched = LinkSimulator(channel=channel, rng=11, batch=True).run(
+        batched = LinkSimulator(channel=channel, rng=11).run(
             scheme, 4.0, num_symbols=30, num_frames=3
         )
         assert _counts(batched) == _counts(reference)
@@ -75,8 +83,8 @@ class TestLinkEquivalence:
         """After a run, batched and per-frame generators sit at the same state."""
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
-        LinkSimulator(rng=rng_a, batch=False).run_dsss(0.0, num_symbols=24, num_frames=2)
-        LinkSimulator(rng=rng_b, batch=True).run_dsss(0.0, num_symbols=24, num_frames=2)
+        LinkSimulator(rng=rng_a).run_dsss_perframe(0.0, num_symbols=24, num_frames=2)
+        LinkSimulator(rng=rng_b).run_dsss(0.0, num_symbols=24, num_frames=2)
         # identical state <=> identical next draws
         assert np.array_equal(rng_a.integers(0, 2**62, size=8), rng_b.integers(0, 2**62, size=8))
 

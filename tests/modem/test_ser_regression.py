@@ -25,7 +25,7 @@ def _aggregated_ser(scheme: str) -> list[float]:
     errors = {snr: 0 for snr in SNR_POINTS_DB}
     for seed in SEEDS:
         for snr in SNR_POINTS_DB:
-            result = LinkSimulator(rng=seed, batch=True).run(
+            result = LinkSimulator(rng=seed).run(
                 scheme, snr, num_symbols=120, num_frames=10
             )
             sent[snr] += result.symbols_sent
@@ -47,10 +47,10 @@ def test_ser_monotone_non_increasing_in_snr(scheme):
 def test_dsss_error_free_and_no_worse_than_fsk_at_high_snr():
     for seed in SEEDS:
         for snr in HIGH_SNR_DB:
-            dsss = LinkSimulator(rng=seed, batch=True).run(
+            dsss = LinkSimulator(rng=seed).run(
                 "DSSS", snr, num_symbols=120, num_frames=10
             )
-            fsk = LinkSimulator(rng=seed, batch=True).run(
+            fsk = LinkSimulator(rng=seed).run(
                 "FSK", snr, num_symbols=120, num_frames=10
             )
             assert dsss.symbol_error_rate == 0.0
@@ -60,7 +60,7 @@ def test_dsss_error_free_and_no_worse_than_fsk_at_high_snr():
 def test_ablation_preserves_e7_conclusion_on_batched_engine():
     """The E7 ablation itself (unpaired scheme streams), on the batched engine."""
     curves = dsss_vs_fsk_ablation(
-        snr_points_db=(-9.0, -6.0, -3.0, 0.0, 3.0), num_symbols=120, rng=0, batch=True
+        snr_points_db=(-9.0, -6.0, -3.0, 0.0, 3.0), num_symbols=120, rng=0
     )
     dsss = [r.symbol_error_rate for r in curves["DSSS"]]
     fsk = [r.symbol_error_rate for r in curves["FSK"]]

@@ -15,7 +15,7 @@ import pytest
 
 from repro.modem.energy_budget import ModemEnergyBudget
 from repro.network.batch import generate_report_schedule, simulate_network_trials
-from repro.network.lifetime import lifetime_by_platform
+from repro.network.lifetime import lifetime_by_platform, lifetime_by_platform_per_node
 from repro.network.mac import CsmaMac, SlottedAloha, TDMASchedule
 from repro.network.routing import TtlFlooding
 from repro.network.simulator import NetworkSimulator
@@ -37,7 +37,6 @@ TOPOLOGIES = {
 
 
 def make_simulator(
-    batch: bool,
     platform_energy_uj: float = 500.76,
     deployment=None,
     seed: int = 0,
@@ -67,9 +66,18 @@ def make_simulator(
         mac=mac,
         mobility=mobility,
         rng=seed,
-        batch=batch,
         **kwargs,
     )
+
+
+def event_loop_trials(deployment, energy_budget, *, seeds, max_time_s, **simulator_kwargs):
+    """:func:`simulate_network_trials` on the per-packet event loop, seed by seed."""
+    return [
+        NetworkSimulator(
+            deployment=deployment, energy_budget=energy_budget, rng=seed, **simulator_kwargs
+        ).run_event_loop(max_time_s=max_time_s)
+        for seed in seeds
+    ]
 
 
 def assert_identical(reference, batched):
@@ -102,10 +110,10 @@ class TestSeedLockedEquivalence:
     def test_platforms_and_topologies(self, platform, energy_uj, topology, seed):
         kwargs = dict(platform_energy_uj=energy_uj, seed=seed)
         reference = make_simulator(
-            False, deployment=TOPOLOGIES[topology](), **kwargs
-        ).run(max_time_s=86_400.0)
+            deployment=TOPOLOGIES[topology](), **kwargs
+        ).run_event_loop(max_time_s=86_400.0)
         batched = make_simulator(
-            True, deployment=TOPOLOGIES[topology](), **kwargs
+            deployment=TOPOLOGIES[topology](), **kwargs
         ).run(max_time_s=86_400.0)
         # the workload must actually exercise a death for the comparison to bite
         assert reference.first_death_time_s is not None
@@ -113,8 +121,8 @@ class TestSeedLockedEquivalence:
 
     @pytest.mark.parametrize("jitter", [0.0, 0.1])
     def test_with_and_without_jitter(self, jitter):
-        reference = make_simulator(False, jitter=jitter).run(max_time_s=86_400.0)
-        batched = make_simulator(True, jitter=jitter).run(max_time_s=86_400.0)
+        reference = make_simulator(jitter=jitter).run_event_loop(max_time_s=86_400.0)
+        batched = make_simulator(jitter=jitter).run(max_time_s=86_400.0)
         assert_identical(reference, batched)
 
     @pytest.mark.parametrize(
@@ -126,43 +134,43 @@ class TestSeedLockedEquivalence:
         ],
     )
     def test_mac_models(self, mac):
-        reference = make_simulator(False, mac=mac).run(max_time_s=86_400.0)
-        batched = make_simulator(True, mac=mac).run(max_time_s=86_400.0)
+        reference = make_simulator(mac=mac).run_event_loop(max_time_s=86_400.0)
+        batched = make_simulator(mac=mac).run(max_time_s=86_400.0)
         assert_identical(reference, batched)
 
     @pytest.mark.parametrize("jitter", [0.0, 0.1])
     def test_run_past_deaths(self, jitter):
         """stop_at_first_death=False: the engine keeps exact accounting
         through the whole death cascade (alive set shrinking epoch by epoch)."""
-        reference = make_simulator(False, jitter=jitter, battery_j=100.0).run(
+        reference = make_simulator(jitter=jitter, battery_j=100.0).run_event_loop(
             max_time_s=4 * 3_600.0, stop_at_first_death=False
         )
-        batched = make_simulator(True, jitter=jitter, battery_j=100.0).run(
+        batched = make_simulator(jitter=jitter, battery_j=100.0).run(
             max_time_s=4 * 3_600.0, stop_at_first_death=False
         )
         assert sum(not alive for alive in reference.node_alive.values()) > 1
         assert_identical(reference, batched)
 
     def test_no_death_horizon_cut(self):
-        reference = make_simulator(False, battery_j=50_000.0).run(max_time_s=3_600.0)
-        batched = make_simulator(True, battery_j=50_000.0).run(max_time_s=3_600.0)
+        reference = make_simulator(battery_j=50_000.0).run_event_loop(max_time_s=3_600.0)
+        batched = make_simulator(battery_j=50_000.0).run(max_time_s=3_600.0)
         assert reference.first_death_time_s is None
         assert reference.lifetime_days is None
         assert_identical(reference, batched)
 
     def test_max_events_cap(self):
-        reference = make_simulator(False).run(
+        reference = make_simulator().run_event_loop(
             max_time_s=86_400.0, stop_at_first_death=False, max_events=100
         )
-        batched = make_simulator(True).run(
+        batched = make_simulator().run(
             max_time_s=86_400.0, stop_at_first_death=False, max_events=100
         )
         assert reference.packets_generated <= 100
         assert_identical(reference, batched)
 
     def test_zero_events_degenerate(self):
-        reference = make_simulator(False).run(max_time_s=10.0, max_events=0)
-        batched = make_simulator(True).run(max_time_s=10.0, max_events=0)
+        reference = make_simulator().run_event_loop(max_time_s=10.0, max_events=0)
+        batched = make_simulator().run(max_time_s=10.0, max_events=0)
         assert reference.packets_generated == 0
         # an undefined ratio is NaN, not a fake-perfect (or fake-zero) number
         assert math.isnan(reference.delivery_ratio)
@@ -174,10 +182,10 @@ class TestSeedLockedEquivalence:
         the periodic stream's cumsum continuation matches the scheduler's
         sequential float accumulation across chunk boundaries."""
         kwargs = dict(jitter=0.0, interval_s=2.0, battery_j=60_000.0)
-        reference = make_simulator(False, **kwargs).run(
+        reference = make_simulator(**kwargs).run_event_loop(
             max_time_s=30_000.0, stop_at_first_death=False
         )
-        batched = make_simulator(True, **kwargs).run(
+        batched = make_simulator(**kwargs).run(
             max_time_s=30_000.0, stop_at_first_death=False
         )
         assert reference.packets_generated > 10_000
@@ -197,10 +205,10 @@ class TestContentionEquivalence:
     def test_csma_routed(self, topology, seed):
         kwargs = dict(mac=self.CSMA, seed=seed)
         reference = make_simulator(
-            False, deployment=TOPOLOGIES[topology](), **kwargs
-        ).run(max_time_s=86_400.0)
+            deployment=TOPOLOGIES[topology](), **kwargs
+        ).run_event_loop(max_time_s=86_400.0)
         batched = make_simulator(
-            True, deployment=TOPOLOGIES[topology](), **kwargs
+            deployment=TOPOLOGIES[topology](), **kwargs
         ).run(max_time_s=86_400.0)
         assert reference.packets_dropped > 0  # contention must actually bite
         assert_identical(reference, batched)
@@ -208,8 +216,8 @@ class TestContentionEquivalence:
     @pytest.mark.parametrize("mac", [None, CSMA, SlottedAloha(offered_load=1.0)])
     def test_flooding(self, mac):
         kwargs = dict(protocol=TtlFlooding(ttl=4), mac=mac)
-        reference = make_simulator(False, **kwargs).run(max_time_s=86_400.0)
-        batched = make_simulator(True, **kwargs).run(max_time_s=86_400.0)
+        reference = make_simulator(**kwargs).run_event_loop(max_time_s=86_400.0)
+        batched = make_simulator(**kwargs).run(max_time_s=86_400.0)
         assert reference.packets_generated > 0
         assert_identical(reference, batched)
 
@@ -227,10 +235,10 @@ class TestContentionEquivalence:
         on both engines."""
         mobility = LinearMobility(speed_mps=0.05, epoch_s=3_600.0, heading_seed=1)
         kwargs = dict(protocol=protocol, mac=mac, mobility=mobility, battery_j=3_000.0)
-        reference = make_simulator(False, **kwargs).run(
+        reference = make_simulator(**kwargs).run_event_loop(
             max_time_s=6 * 3_600.0, stop_at_first_death=False
         )
-        batched = make_simulator(True, **kwargs).run(
+        batched = make_simulator(**kwargs).run(
             max_time_s=6 * 3_600.0, stop_at_first_death=False
         )
         assert_identical(reference, batched)
@@ -242,10 +250,10 @@ class TestContentionEquivalence:
         kwargs = dict(
             mac=self.CSMA, mobility=mobility, battery_j=50_000.0, interval_s=120.0
         )
-        reference = make_simulator(False, **kwargs).run(
+        reference = make_simulator(**kwargs).run_event_loop(
             max_time_s=12 * 3_600.0, stop_at_first_death=False
         )
-        batched = make_simulator(True, **kwargs).run(
+        batched = make_simulator(**kwargs).run(
             max_time_s=12 * 3_600.0, stop_at_first_death=False
         )
         assert reference.packets_delivered < reference.packets_generated
@@ -254,10 +262,10 @@ class TestContentionEquivalence:
     def test_csma_death_cascade(self):
         """stop_at_first_death=False under contention: the segmented scan and
         boundary replay stay exact through the whole death cascade."""
-        reference = make_simulator(False, mac=self.CSMA, battery_j=100.0).run(
+        reference = make_simulator(mac=self.CSMA, battery_j=100.0).run_event_loop(
             max_time_s=4 * 3_600.0, stop_at_first_death=False
         )
-        batched = make_simulator(True, mac=self.CSMA, battery_j=100.0).run(
+        batched = make_simulator(mac=self.CSMA, battery_j=100.0).run(
             max_time_s=4 * 3_600.0, stop_at_first_death=False
         )
         assert sum(not alive for alive in reference.node_alive.values()) > 1
@@ -284,8 +292,8 @@ class TestContentionEquivalence:
             mac=self.CSMA,
             protocol=TtlFlooding(ttl=3),
         )
-        batched = simulate_network_trials(deployment, budget, batch=True, **shared)
-        reference = simulate_network_trials(deployment, budget, batch=False, **shared)
+        batched = simulate_network_trials(deployment, budget, **shared)
+        reference = event_loop_trials(deployment, budget, **shared)
         assert len(batched) == len(reference) == 3
         for batch_result, loop_result in zip(batched, reference):
             assert_identical(loop_result, batch_result)
@@ -339,8 +347,8 @@ class TestMultiTrialBatching:
             seeds=[0, 1, 2, 3],
             max_time_s=86_400.0,
         )
-        batched = simulate_network_trials(deployment, budget, batch=True, **shared)
-        reference = simulate_network_trials(deployment, budget, batch=False, **shared)
+        batched = simulate_network_trials(deployment, budget, **shared)
+        reference = event_loop_trials(deployment, budget, **shared)
         assert len(batched) == len(reference) == 4
         for batch_result, loop_result in zip(batched, reference):
             assert batch_result.first_death_time_s is not None
@@ -375,12 +383,10 @@ class TestAnalyticalLifetimeBatch:
         traffic = PeriodicTraffic(report_interval_s=120.0, packet_symbols=16, jitter_fraction=0.0)
         platforms = {name: uj * 1e-6 for name, uj in PLATFORMS.items()}
         idle = {name: joules / 22.4e-3 for name, joules in platforms.items()}
-        scalar = lifetime_by_platform(
-            simulator.routing, traffic, 50_000.0, platforms,
-            platform_idle_power_w=idle, batch=False,
+        scalar = lifetime_by_platform_per_node(
+            simulator.routing, traffic, 50_000.0, platforms, platform_idle_power_w=idle,
         )
         vectorised = lifetime_by_platform(
-            simulator.routing, traffic, 50_000.0, platforms,
-            platform_idle_power_w=idle, batch=True,
+            simulator.routing, traffic, 50_000.0, platforms, platform_idle_power_w=idle,
         )
         assert vectorised == scalar  # exact float equality, platform by platform

@@ -218,7 +218,6 @@ def density_simulator(side: int, seed: int = 0) -> NetworkSimulator:
         battery_capacity_j=50_000.0,
         mac=CsmaMac(channel_load=0.1, max_attempts=5),
         rng=seed,
-        batch=True,
     )
 
 

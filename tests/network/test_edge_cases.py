@@ -138,8 +138,8 @@ class TestDegenerateZeroTraffic:
         with pytest.raises(ValueError):
             PeriodicTraffic(packet_symbols=0)
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_no_events_processed(self, batch):
+    @pytest.mark.parametrize("entry", ["run_event_loop", "run"])
+    def test_no_events_processed(self, entry):
         """max_events=0: the simulation observes no traffic at all — zero
         packets, delivery ratio NaN (undefined, not a division error or a
         fake-perfect 1.0), no lifetime."""
@@ -150,9 +150,8 @@ class TestDegenerateZeroTraffic:
                                     jitter_fraction=0.0),
             communication_range_m=150.0,
             battery_capacity_j=1_000.0,
-            batch=batch,
         )
-        result = simulator.run(max_time_s=100.0, max_events=0)
+        result = getattr(simulator, entry)(max_time_s=100.0, max_events=0)
         assert result.packets_generated == 0
         assert result.packets_delivered == 0
         assert math.isnan(result.delivery_ratio)
@@ -160,8 +159,8 @@ class TestDegenerateZeroTraffic:
         assert result.simulated_time_s == 0.0
         assert all(result.node_alive.values())
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_horizon_shorter_than_first_reports(self, batch):
+    @pytest.mark.parametrize("entry", ["run_event_loop", "run"])
+    def test_horizon_shorter_than_first_reports(self, entry):
         """A horizon inside the stagger window sees only node 1's t=0 report."""
         simulator = NetworkSimulator(
             deployment=grid_deployment(2, 2, spacing_m=100.0),
@@ -170,8 +169,7 @@ class TestDegenerateZeroTraffic:
                                     jitter_fraction=0.0),
             communication_range_m=150.0,
             battery_capacity_j=10_000.0,
-            batch=batch,
         )
-        result = simulator.run(max_time_s=5.0, stop_at_first_death=False)
+        result = getattr(simulator, entry)(max_time_s=5.0, stop_at_first_death=False)
         assert result.packets_generated == 1
         assert result.delivery_ratio == 1.0

@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchFixedPointMPEngine
 from repro.core.ipcore import BatchIPCoreEngine, IPCoreConfig
-from repro.experiments import get_scenario
+from repro.experiments import get_scenario, run_sweep
 from repro.modem.batch import BatchLinkEngine
 from repro.modem.energy_budget import ModemEnergyBudget
 from repro.network.batch import simulate_network_trials
@@ -68,12 +67,13 @@ class TestFixedPointEngineSpans:
             .with_seed(replicates=1)
         )
 
-    def test_run_spec_and_group_spans(self, tiny_spec):
+    def test_run_batch_and_group_spans(self, tiny_spec):
         trials_before = registry().counter("engine.fixedpoint.trials").value
         with start_trace() as tracer:
-            result = BatchFixedPointMPEngine().run_spec(tiny_spec)
+            result = run_sweep(tiny_spec)
         names = _names(tracer)
-        assert "engine.fixedpoint.run_spec" in names
+        assert names.count("trial.batch") == 1  # every trial in one run_batch call
+        assert names.count("trial") == result.stats.num_trials
         assert names.count("engine.fixedpoint.group") == 2  # one per word length
         groups = [r for r in tracer.records if r.name == "engine.fixedpoint.group"]
         assert sorted(g.attributes["word_length"] for g in groups) == [6, 8]

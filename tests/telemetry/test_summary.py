@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.telemetry.summary import (
+    UNATTRIBUTED,
     aggregate_stages,
     aggregate_tree,
     render_trace_summary,
     slowest_spans,
+    stage_shares,
 )
 from repro.telemetry.tracing import SpanRecord
 
@@ -34,6 +38,39 @@ class TestAggregateStages:
         assert stats["trial"].max_s == 6.0
         assert stats["trial"].mean_s == 5.0
         assert [s.name for s in aggregate_stages(_sample_trace())][0] in ("sweep", "trial")
+
+
+class TestSelfTimeShares:
+    """Share is self (exclusive) time over the wall clock: nested spans are
+    never counted twice, and with the unattributed row the shares sum to 100%."""
+
+    def test_self_time_subtracts_direct_children(self):
+        stats = {s.name: s for s in aggregate_stages(_sample_trace())}
+        assert stats["sweep"].self_s == 0.0     # 10 s minus its two trials
+        assert stats["trial"].self_s == 4.0     # (4 - 1) + (6 - 5)
+        assert stats["engine.step"].self_s == 6.0
+
+    def test_nested_shares_sum_to_wall_clock(self):
+        shares = stage_shares(_sample_trace())
+        assert shares == {"sweep": 0.0, "trial": 0.4, "engine.step": 0.6, UNATTRIBUTED: 0.0}
+        assert sum(shares.values()) == pytest.approx(1.0)
+
+    def test_gaps_between_roots_are_unattributed(self):
+        records = [
+            _record("cache_scan", "1.0", None, 0.0, 2.0),
+            _record("execute", "1.1", None, 5.0, 10.0),
+            _record("trial", "1.2", "1.1", 5.0, 9.0),
+        ]
+        shares = stage_shares(records)
+        assert shares[UNATTRIBUTED] == pytest.approx(0.3)
+        assert shares["execute"] == pytest.approx(0.1)
+        assert sum(shares.values()) == pytest.approx(1.0)
+
+    def test_report_has_self_column_and_unattributed_row(self):
+        report = render_trace_summary(_sample_trace())
+        assert "Self (s)" in report
+        assert UNATTRIBUTED in report
+        assert "60%" in report and "40%" in report
 
 
 class TestAggregateTree:
