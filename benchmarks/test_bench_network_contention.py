@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 
 from repro.modem.energy_budget import ModemEnergyBudget
-from repro.network.batch import simulate_network_trials
 from repro.network.mac import CsmaMac
 from repro.network.routing import RoutedForwarding, TtlFlooding
 from repro.network.simulator import NetworkSimulator
@@ -53,17 +52,14 @@ def _sweep(batch: bool, protocol):
         protocol=protocol,
     )
     horizon_s = 30.0 * 86_400.0
-    if batch:
-        return simulate_network_trials(
-            deployment, budget, seeds=SEEDS, max_time_s=horizon_s, **shared
-        )
-    # the scalar oracle, called directly: one event loop per seed
-    return [
-        NetworkSimulator(
-            deployment=deployment, energy_budget=budget, rng=seed, **shared
-        ).run_event_loop(max_time_s=horizon_s)
+    simulators = [
+        NetworkSimulator(deployment=deployment, energy_budget=budget, rng=seed, **shared)
         for seed in SEEDS
     ]
+    if batch:
+        return [simulator.run(max_time_s=horizon_s) for simulator in simulators]
+    # the scalar oracle, called directly: one event loop per seed
+    return [simulator.run_event_loop(max_time_s=horizon_s) for simulator in simulators]
 
 
 def _signature(results):

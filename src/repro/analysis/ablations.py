@@ -35,14 +35,11 @@ from repro.utils.validation import check_integer
 __all__ = [
     "BitwidthAccuracyResult",
     "IPCoreParallelismResult",
-    "SimulatedLifetimeSummary",
     "bitwidth_accuracy_ablation",
     "ipcore_parallelism_study",
     "parallelism_ablation",
     "dsss_vs_fsk_ablation",
     "network_lifetime_study",
-    "simulated_network_lifetime_study",
-    "summarize_lifetimes",
     "aquamodem_signal_matrices",
 ]
 
@@ -317,7 +314,9 @@ def network_lifetime_study(
     estimations happen only while a packet is being received.
 
     ``topology`` chooses ``grid`` or ``random`` deployment geometry (the
-    scatter drawn deterministically from ``topology_seed``).
+    scatter drawn deterministically from ``topology_seed``).  The
+    packet-level, Monte-Carlo counterpart is the ``network-contention``
+    scenario that ``repro lifetime --trials`` sweeps.
     """
     if platform_energies_uj is None:
         platform_energies_uj = dict(TABLE3_PLATFORM_ENERGIES_UJ)
@@ -344,134 +343,3 @@ def network_lifetime_study(
     )
     result = run_sweep(spec, jobs=jobs, cache=cache)
     return {record["platform"]: record["lifetime_days"] for record in result.records}
-
-
-# --------------------------------------------------------------------------- #
-# E9 (simulated) — Monte-Carlo lifetime on the batched network engine
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class SimulatedLifetimeSummary:
-    """Aggregate of several simulated lifetime trials for one platform.
-
-    ``mean_lifetime_days`` is ``None`` when *no* trial observed a node death
-    within the horizon — a censored measurement ("outlived the horizon"),
-    which must not be conflated with a zero lifetime.
-    """
-
-    platform: str
-    trials: int
-    died_trials: int
-    mean_lifetime_days: float | None
-    mean_delivery_ratio: float
-
-    @property
-    def censored_trials(self) -> int:
-        """Trials whose deployment outlived the simulation horizon."""
-        return self.trials - self.died_trials
-
-
-def summarize_lifetimes(platform: str, results) -> SimulatedLifetimeSummary:
-    """Aggregate simulation results, handling ``lifetime_days is None`` explicitly.
-
-    Trials without a death are censored observations: they are excluded from
-    the mean (never coerced to 0, which would read as an instant death) and
-    counted separately.  With no deaths at all the mean itself is ``None``.
-    Trials that generated zero packets report a NaN delivery ratio
-    (undefined, not total loss) and are likewise excluded from the ratio
-    mean; with no defined ratio at all the mean is NaN.
-    """
-    results = list(results)
-    lifetimes = [r.lifetime_days for r in results if r.lifetime_days is not None]
-    mean_lifetime = sum(lifetimes) / len(lifetimes) if lifetimes else None
-    ratios = [r.delivery_ratio for r in results if not np.isnan(r.delivery_ratio)]
-    return SimulatedLifetimeSummary(
-        platform=platform,
-        trials=len(results),
-        died_trials=len(lifetimes),
-        mean_lifetime_days=mean_lifetime,
-        mean_delivery_ratio=sum(ratios) / len(ratios) if ratios else float("nan"),
-    )
-
-
-def simulated_network_lifetime_study(
-    grid_size: tuple[int, int] = (5, 5),
-    spacing_m: float = 200.0,
-    communication_range_m: float = 300.0,
-    battery_capacity_j: float = 8_000.0,
-    report_interval_s: float = 60.0,
-    packet_symbols: int = 32,
-    platform_energies_uj: dict[str, float] | None = None,
-    continuous_detection: bool = True,
-    trials: int = 3,
-    base_seed: int = 0,
-    jitter_fraction: float = 0.1,
-    max_days: float = 30.0,
-    topology: str = "grid",
-    topology_seed: int = 1,
-    mac=None,
-    protocol=None,
-    mobility=None,
-) -> dict[str, SimulatedLifetimeSummary]:
-    """Monte-Carlo deployment lifetime per platform on the network simulator.
-
-    Unlike :func:`network_lifetime_study` (the closed-form estimate), this
-    runs the packet-level :class:`~repro.network.simulator.NetworkSimulator`
-    — on the vectorised batch engine, with ``trials`` jittered traffic seeds
-    batched per platform — and reports per-platform lifetime
-    and delivery-ratio summaries.  Trials whose network outlives ``max_days``
-    are reported as censored (see :func:`summarize_lifetimes`).  ``topology``
-    selects the same ``grid``/``random`` geometries as the analytical study;
-    ``mac``/``protocol``/``mobility`` pass a MAC model (e.g.
-    :class:`~repro.network.mac.CsmaMac`), a protocol model
-    (:class:`~repro.network.routing.TtlFlooding`) and a
-    :class:`~repro.network.topology.LinearMobility` drift straight through to
-    the simulator.
-    """
-    from repro.modem.energy_budget import ModemEnergyBudget
-    from repro.network.batch import simulate_network_trials
-    from repro.network.topology import grid_deployment, random_deployment
-    from repro.network.traffic import PeriodicTraffic
-
-    check_integer("trials", trials, minimum=1)
-    if platform_energies_uj is None:
-        platform_energies_uj = dict(TABLE3_PLATFORM_ENERGIES_UJ)
-    rows, cols = grid_size
-    if topology == "grid":
-        deployment = grid_deployment(rows, cols, spacing_m=spacing_m)
-    elif topology == "random":
-        area = (max(1, cols - 1) * spacing_m, max(1, rows - 1) * spacing_m)
-        deployment = random_deployment(rows * cols, area_m=area, rng=topology_seed)
-    else:
-        raise ValueError(f"unknown topology {topology!r}; expected 'grid' or 'random'")
-    traffic = PeriodicTraffic(
-        report_interval_s=report_interval_s,
-        packet_symbols=packet_symbols,
-        jitter_fraction=jitter_fraction,
-    )
-    seeds = [base_seed + index for index in range(trials)]
-    base_budget = ModemEnergyBudget()
-    summaries: dict[str, SimulatedLifetimeSummary] = {}
-    for platform, energy_uj in platform_energies_uj.items():
-        idle_power_w = base_budget.processing_idle_power_w
-        if continuous_detection:
-            # one channel estimation per receive window while listening
-            config = AquaModemConfig()
-            idle_power_w = idle_power_w + (energy_uj * 1e-6) / config.total_symbol_period_s
-        budget = ModemEnergyBudget(
-            processing_energy_per_estimation_j=energy_uj * 1e-6,
-            processing_idle_power_w=idle_power_w,
-        )
-        results = simulate_network_trials(
-            deployment,
-            budget,
-            traffic=traffic,
-            communication_range_m=communication_range_m,
-            battery_capacity_j=battery_capacity_j,
-            mac=mac,
-            protocol=protocol,
-            mobility=mobility,
-            seeds=seeds,
-            max_time_s=max_days * 86_400.0,
-        )
-        summaries[platform] = summarize_lifetimes(platform, results)
-    return summaries

@@ -57,6 +57,17 @@ from repro.utils.tables import format_table
 __all__ = ["build_parser", "main"]
 
 
+def _grid_side(text: str) -> int:
+    """``--grid``: a deployment needs a sink plus at least one sensor."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for testing and documentation)."""
     parser = argparse.ArgumentParser(
@@ -94,18 +105,20 @@ def build_parser() -> argparse.ArgumentParser:
     bitwidth.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
 
     lifetime = subparsers.add_parser("lifetime", help="network lifetime by platform (E9)")
-    lifetime.add_argument("--grid", type=int, default=5, help="grid side length (grid x grid nodes)")
+    lifetime.add_argument("--grid", type=_grid_side, default=5,
+                          help="grid side length, at least 2 (grid x grid nodes)")
     lifetime.add_argument("--battery-kj", type=float, default=200.0, help="battery capacity in kJ")
     lifetime.add_argument("--report-interval-s", type=float, default=120.0,
                           help="sensing report interval per node")
-    lifetime.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
+    lifetime.add_argument("--jobs", type=int, default=1,
+                          help="worker processes for the sweep (analytical or --trials)")
     lifetime.add_argument(
         "--trials", type=int, default=0,
-        help="run the packet-level network simulator for this many Monte-Carlo "
-        "trials per platform (0 = the analytical estimate, the default)",
+        help="run this many Monte-Carlo trials per platform as a network-contention "
+        "sweep on the packet-level simulator (0 = the analytical estimate, the default)",
     )
     lifetime.add_argument("--seed", type=int, default=0,
-                          help="base seed for the simulated trials")
+                          help="base seed of the --trials sweep's seed policy")
     lifetime.add_argument(
         "--topology", choices=("grid", "random"), default="grid",
         help="deployment geometry (applies to both the analytical estimate "
@@ -437,62 +450,86 @@ def _run_bitwidth(args: argparse.Namespace) -> str:
     )
 
 
+def _lifetime_trials_spec(args: argparse.Namespace):
+    """The ``network-contention`` sweep behind ``lifetime --trials``.
+
+    Every platform runs on a ``grid`` x ``grid`` deployment with 200 m
+    spacing (a random scatter over the same square for ``--topology
+    random``), listening continuously, over a 30-day horizon; ``--seed`` and
+    ``--trials`` are the sweep's seed policy, so all platforms see the same
+    traffic seeds.
+    """
+    from repro.experiments.registry import TABLE3_PLATFORM_ENERGIES_UJ
+    from repro.experiments.spec import SeedPolicy, SweepSpec
+
+    return SweepSpec(
+        scenario="network-contention",
+        zipped={
+            "platform": tuple(TABLE3_PLATFORM_ENERGIES_UJ),
+            "energy_uj": tuple(TABLE3_PLATFORM_ENERGIES_UJ.values()),
+        },
+        base={
+            "num_nodes": args.grid * args.grid,
+            "area_side_m": 200.0 * (args.grid - 1),
+            "topology": args.topology, "topology_seed": 1,
+            "communication_range_m": 300.0,
+            "battery_capacity_j": args.battery_kj * 1e3,
+            "report_interval_s": args.report_interval_s, "packet_symbols": 32,
+            "continuous_detection": True,
+            "mac": args.mac, "channel_load": args.channel_load,
+            "max_attempts": args.max_attempts, "capture_probability": args.capture,
+            "protocol": args.protocol, "ttl": args.ttl,
+            "drift_speed_mps": args.drift_speed, "drift_epoch_s": args.drift_epoch_s,
+            "max_days": 30.0,
+        },
+        seed=SeedPolicy(base_seed=args.seed, replicates=args.trials),
+    )
+
+
+def _lifetime_trials_table(result) -> str:
+    """Per-platform means of a ``lifetime --trials`` sweep, as a table.
+
+    Censored lifetimes (no death within the horizon) and zero-packet delivery
+    ratios are ``None`` in the records, which ``group_mean`` skips; a
+    platform with no death is reported as ``> horizon``, never as a zero
+    lifetime, and sorts last.
+    """
+    from collections import Counter
+
+    spec = result.spec
+    trials = spec.seed.replicates
+    lifetimes = result.group_mean(by="platform", metric="lifetime_days")
+    ratios = result.group_mean(by="platform", metric="delivery_ratio")
+    died = Counter(
+        record["platform"] for record in result.records
+        if record["lifetime_days"] is not None
+    )
+    platforms = sorted(
+        spec.zipped["platform"],
+        key=lambda name: (name not in lifetimes, lifetimes.get(name, 0.0)),
+    )
+    return format_table(
+        ["Platform", "Mean lifetime (days)", "Died/trials", "Delivery ratio"],
+        [
+            (
+                platform,
+                round(lifetimes[platform], 2) if platform in lifetimes else "> horizon",
+                f"{died[platform]}/{trials}",
+                round(ratios.get(platform, float("nan")), 4),
+            )
+            for platform in platforms
+        ],
+        title=f"{spec.base['num_nodes']}-node simulated deployment lifetime "
+        f"({spec.base['topology']} topology, {trials} trials)",
+    )
+
+
 def _run_lifetime(args: argparse.Namespace) -> str:
     if args.trials > 0:
-        from repro.analysis.ablations import simulated_network_lifetime_study
-        from repro.network.mac import CsmaMac
-        from repro.network.routing import TtlFlooding
-        from repro.network.topology import LinearMobility
+        from repro.experiments.runner import run_sweep
 
-        mac = None
-        if args.mac == "csma":
-            mac = CsmaMac(
-                channel_load=args.channel_load,
-                max_attempts=args.max_attempts,
-                capture_probability=args.capture,
-            )
-        protocol = TtlFlooding(ttl=args.ttl) if args.protocol == "flooding" else None
-        mobility = None
-        if args.drift_speed > 0.0:
-            mobility = LinearMobility(
-                speed_mps=args.drift_speed, epoch_s=args.drift_epoch_s
-            )
-        summaries = simulated_network_lifetime_study(
-            grid_size=(args.grid, args.grid),
-            battery_capacity_j=args.battery_kj * 1e3,
-            report_interval_s=args.report_interval_s,
-            trials=args.trials,
-            base_seed=args.seed,
-            topology=args.topology,
-            mac=mac,
-            protocol=protocol,
-            mobility=mobility,
-        )
-        rows = [
-            (
-                summary.platform,
-                # a censored run (no death within the horizon) is reported as
-                # such, never as a zero lifetime
-                "> horizon" if summary.mean_lifetime_days is None
-                else round(summary.mean_lifetime_days, 2),
-                f"{summary.died_trials}/{summary.trials}",
-                round(summary.mean_delivery_ratio, 4),
-            )
-            for summary in sorted(
-                summaries.values(),
-                key=lambda s: (s.mean_lifetime_days is None, s.mean_lifetime_days or 0.0),
-            )
-        ]
-        table = format_table(
-            ["Platform", "Mean lifetime (days)", "Died/trials", "Delivery ratio"],
-            rows,
-            title=f"{args.grid * args.grid}-node simulated deployment lifetime "
-            f"({args.topology} topology, {args.trials} trials)",
-        )
-        if args.jobs != 1:
-            table += ("\nnote: --jobs applies to the analytical sweep; simulated "
-                      "trials already run batched in-process")
-        return table
+        spec = _lifetime_trials_spec(args)
+        return _lifetime_trials_table(run_sweep(spec, jobs=args.jobs))
     lifetimes = network_lifetime_study(
         grid_size=(args.grid, args.grid),
         battery_capacity_j=args.battery_kj * 1e3,

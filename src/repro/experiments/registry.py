@@ -30,7 +30,7 @@ that scenario's cached results.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -562,7 +562,10 @@ def _contention_simulator(params: Mapping[str, Any], seed: int) -> NetworkSimula
 
     The deployment covers a *fixed* ``area_side_m`` square regardless of
     ``num_nodes``, so sweeping the node count sweeps the density — and with
-    it the per-receiver contender count the CSMA MAC reacts to.
+    it the per-receiver contender count the CSMA MAC reacts to.  ``mac`` is
+    ``csma`` (the default) or ``none`` for a contention-free channel;
+    ``continuous_detection`` (default off) adds one channel estimation per
+    receive-vector period to the idle power, as in ``network-lifetime``.
     """
     topology = str(params.get("topology", "grid"))
     num_nodes = int(params["num_nodes"])
@@ -595,22 +598,36 @@ def _contention_simulator(params: Mapping[str, Any], seed: int) -> NetworkSimula
         mobility = LinearMobility(
             speed_mps=drift_speed, epoch_s=float(params.get("drift_epoch_s", 21_600.0))
         )
+    mac_name = str(params.get("mac", "csma"))
+    if mac_name == "csma":
+        mac: CsmaMac | None = CsmaMac(
+            channel_load=float(params["channel_load"]),
+            max_attempts=int(params["max_attempts"]),
+            capture_probability=float(params.get("capture_probability", 0.0)),
+        )
+    elif mac_name == "none":
+        mac = None
+    else:
+        raise ValueError(f"unknown mac {mac_name!r}; expected 'csma' or 'none'")
+    energy_j = float(params["energy_uj"]) * 1e-6
+    budget = ModemEnergyBudget(processing_energy_per_estimation_j=energy_j)
+    if bool(params.get("continuous_detection", False)):
+        # one channel estimation per receive-vector period while listening
+        budget = replace(
+            budget,
+            processing_idle_power_w=budget.processing_idle_power_w
+            + energy_j / budget.config.total_symbol_period_s,
+        )
     return NetworkSimulator(
         deployment=deployment,
-        energy_budget=ModemEnergyBudget(
-            processing_energy_per_estimation_j=float(params["energy_uj"]) * 1e-6,
-        ),
+        energy_budget=budget,
         traffic=PeriodicTraffic(
             report_interval_s=float(params["report_interval_s"]),
             packet_symbols=int(params["packet_symbols"]),
         ),
         communication_range_m=float(params["communication_range_m"]),
         battery_capacity_j=float(params["battery_capacity_j"]),
-        mac=CsmaMac(
-            channel_load=float(params["channel_load"]),
-            max_attempts=int(params["max_attempts"]),
-            capture_probability=float(params.get("capture_probability", 0.0)),
-        ),
+        mac=mac,
         rng=seed,
         protocol=protocol,
         mobility=mobility,

@@ -254,11 +254,14 @@ class SweepResult:
 
         Records missing either key are skipped — heterogeneous records
         (scenarios whose metric sets differ per parameter) are
-        documented-normal in the store layer, never an error here.
+        documented-normal in the store layer, never an error here.  So are
+        ``None`` metrics, the scenarios' encoding of an undefined value (a
+        censored lifetime, a zero-packet delivery ratio); a group without a
+        defined value is absent from the result.
         """
         totals: dict[Any, list[float]] = {}
         for record in self.records:
-            if by not in record or metric not in record:
+            if by not in record or record.get(metric) is None:
                 continue
             totals.setdefault(record[by], []).append(float(record[metric]))
         return {key: sum(vals) / len(vals) for key, vals in totals.items()}

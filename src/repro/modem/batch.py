@@ -70,9 +70,10 @@ class BatchLinkEngine:
     Accepts the same parameters as
     :class:`~repro.modem.link.LinkSimulator` and, given the same seed,
     returns the same :class:`~repro.modem.link.LinkResult` counts — just
-    several times faster.  ``LinkSimulator`` delegates here by default
-    (``batch=True``); construct the engine directly only when driving the
-    batched primitives yourself.
+    several times faster.  ``LinkSimulator.run_dsss``/``run_fsk`` always run
+    here (the per-frame loops stay as the executable specification);
+    construct the engine directly only when driving the batched primitives
+    yourself.
 
     Parameters
     ----------

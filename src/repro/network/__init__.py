@@ -19,12 +19,12 @@ numbers of :mod:`repro.hardware` into deployment lifetimes (experiment E9):
 * :mod:`repro.network.traffic` — periodic sensing traffic;
 * :mod:`repro.network.simulator` — the event-driven network simulator;
 * :mod:`repro.network.batch` — the vectorised batch engine (round-based
-  NumPy accounting, multi-trial batching; bit-identical to the event loop);
+  NumPy accounting; bit-identical to the event loop);
 * :mod:`repro.network.lifetime` — analytical lifetime estimation (a fast
   cross-check of the simulator).
 """
 
-from repro.network.batch import BatchNetworkEngine, generate_report_schedule, simulate_network_trials
+from repro.network.batch import BatchNetworkEngine, generate_report_schedule
 from repro.network.events import Event, EventQueue, Scheduler
 from repro.network.node import Battery, SensorNode, NodeEnergyReport
 from repro.network.topology import (
@@ -49,7 +49,6 @@ from repro.network.lifetime import analytical_node_lifetime, lifetime_by_platfor
 __all__ = [
     "BatchNetworkEngine",
     "generate_report_schedule",
-    "simulate_network_trials",
     "subtree_sizes",
     "Event",
     "EventQueue",

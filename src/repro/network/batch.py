@@ -17,10 +17,9 @@ accounting while reproducing the event loop bit-for-bit:
 3. **Death scan** — per-node demanded energy is the closed form
    ``tx_count * tx_energy + rx_count * rx_energy + idle_power * t`` (the same
    expression :attr:`SensorNode.demanded_j` evaluates), so battery-depletion
-   events are resolved by a cumulative scan over all nodes — and all trials —
-   simultaneously.  Because the accounting is closed form over integer
-   counts, the scan needs no running float state: each chunk starts from the
-   nodes' own counts.
+   events are resolved by one cumulative scan over all nodes.  Because the
+   accounting is closed form over integer counts, the scan needs no running
+   float state: each chunk starts from the nodes' own counts.
 4. **Fast-forward + replay** — a crossing-free span is applied to the node
    states in one bulk update; only the boundary event (where a node dies and
    packet delivery may truncate mid-path) is replayed through the event
@@ -52,9 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.network.routing import RoutedForwarding, TtlFlooding
+from repro.network.routing import TtlFlooding
 from repro.network.simulator import NetworkSimulationResult, NetworkSimulator
-from repro.network.topology import LinearMobility
 from repro.network.traffic import PeriodicTraffic
 from repro.telemetry.metrics import counter, histogram
 from repro.telemetry.tracing import span
@@ -65,13 +63,11 @@ __all__ = [
     "BatchNetworkEngine",
     "ScheduleStream",
     "generate_report_schedule",
-    "simulate_network_trials",
 ]
 
 # per-chunk telemetry (one update per scanned chunk, never per event)
 _EVENTS = counter("engine.network.events")
 _CHUNKS = counter("engine.network.chunks")
-_SCAN_TRIALS = histogram("engine.network.scan_live_trials")
 #: events processed through the general (contention/flooding/mobility) path
 _GENERAL_EVENTS = counter("engine.network.general_events")
 #: events per same-topology segment of the general path
@@ -223,10 +219,9 @@ def generate_report_schedule(
     return np.concatenate(all_times), np.concatenate(all_sources)
 
 
-def _first_crossings(
+def _first_crossing(
     times: np.ndarray,
     src_rows: np.ndarray,
-    valid: np.ndarray,
     tx_ind: np.ndarray,
     rx_ind: np.ndarray,
     base_tx: np.ndarray,
@@ -237,30 +232,25 @@ def _first_crossings(
     rx_energy: float,
     idle_power: float,
     capacity: float,
-) -> np.ndarray:
-    """First event index per trial where any scanned node's demand reaches capacity.
+) -> int | None:
+    """First event index where any scanned node's demand reaches capacity.
 
-    ``times``/``src_rows``/``valid`` are (trials, events) padded arrays (pad
-    entries carry zero charge and a frozen time, so they can never introduce
-    a crossing); ``base_tx``/``base_rx`` are (trials, nodes) charge counts at
-    the scan start.  Returns a (trials,) array of event indices, -1 where no
-    crossing occurs.  The demand expression mirrors
+    ``base_tx``/``base_rx`` are the per-node charge counts at the scan start;
+    returns ``None`` when no crossing occurs.  The demand expression mirrors
     :attr:`repro.network.node.SensorNode.demanded_j` term for term, so the
     crossing decision is bit-identical to the event loop's battery checks.
     """
-    num_trials = times.shape[0]
-    found = np.full(num_trials, -1, dtype=np.int64)
-    if scan_rows.size == 0 or times.shape[1] == 0:
-        return found
-    inc_tx = tx_ind[scan_rows][:, src_rows] * valid[np.newaxis, :, :]  # (scanned, trials, E)
-    inc_rx = rx_ind[scan_rows][:, src_rows] * valid[np.newaxis, :, :]
-    ntx = base_tx[:, scan_rows].T[:, :, np.newaxis] + attempts * np.cumsum(inc_tx, axis=2)
-    nrx = base_rx[:, scan_rows].T[:, :, np.newaxis] + attempts * np.cumsum(inc_rx, axis=2)
-    demanded = ntx * tx_energy + nrx * rx_energy + idle_power * times[np.newaxis, :, :]
-    crossed = (demanded >= capacity).any(axis=0)  # (trials, E)
-    for trial in np.nonzero(crossed.any(axis=1))[0]:
-        found[trial] = int(np.argmax(crossed[trial]))
-    return found
+    if scan_rows.size == 0 or len(times) == 0:
+        return None
+    inc_tx = tx_ind[scan_rows][:, src_rows]  # (scanned, events)
+    inc_rx = rx_ind[scan_rows][:, src_rows]
+    ntx = base_tx[scan_rows][:, np.newaxis] + attempts * np.cumsum(inc_tx, axis=1)
+    nrx = base_rx[scan_rows][:, np.newaxis] + attempts * np.cumsum(inc_rx, axis=1)
+    demanded = ntx * tx_energy + nrx * rx_energy + idle_power * times[np.newaxis, :]
+    crossed = (demanded >= capacity).any(axis=0)
+    if not crossed.any():
+        return None
+    return int(np.argmax(crossed))
 
 
 @dataclass
@@ -381,14 +371,13 @@ class BatchNetworkEngine:
         rx_ind: np.ndarray,
     ) -> int | None:
         base_tx, base_rx = self._base_counts()
-        found = _first_crossings(
-            times[np.newaxis, :],
-            src_rows[np.newaxis, :],
-            np.ones((1, len(times)), dtype=bool),
+        return _first_crossing(
+            times,
+            src_rows,
             tx_ind,
             rx_ind,
-            base_tx[np.newaxis, :],
-            base_rx[np.newaxis, :],
+            base_tx,
+            base_rx,
             self._alive_sensor_rows(),
             self._attempts,
             self._tx_energy,
@@ -396,7 +385,6 @@ class BatchNetworkEngine:
             self._idle_power,
             self.simulator.battery_capacity_j,
         )
-        return None if found[0] < 0 else int(found[0])
 
     def _fast_forward(
         self,
@@ -634,7 +622,7 @@ class BatchNetworkEngine:
     def _scan_increments(self, times: np.ndarray, inc: _EventIncrements) -> int | None:
         """First event index whose cumulative increments kill a node, or None.
 
-        Same closed-form demand expression as :func:`_first_crossings` (and
+        Same closed-form demand expression as :func:`_first_crossing` (and
         :attr:`repro.network.node.SensorNode.demanded_j`), with the retry
         attempts already folded into the increment counts.
         """
@@ -824,162 +812,3 @@ class BatchNetworkEngine:
                         break
             sim._advance_all(end_time)
             return sim._build_result(end_time)
-
-
-def simulate_network_trials(
-    deployment,
-    energy_budget,
-    *,
-    traffic: PeriodicTraffic | None = None,
-    communication_range_m: float = 300.0,
-    battery_capacity_j: float = 50_000.0,
-    mac=None,
-    protocol: RoutedForwarding | TtlFlooding | None = None,
-    mobility: LinearMobility | None = None,
-    seeds=(0,),
-    max_time_s: float = 30.0 * 86_400.0,
-    stop_at_first_death: bool = True,
-    max_events: int = 500_000,
-) -> list[NetworkSimulationResult]:
-    """Monte-Carlo network-lifetime trials, batched across seeds.
-
-    Runs one independent simulation per seed on a shared deployment and
-    energy model.  In the usual ``stop_at_first_death`` mode, the death scan
-    runs as one (trials x nodes x events) array operation across every live
-    trial simultaneously; each trial's boundary event is then replayed exactly.
-    Contention/flooding/mobility configurations make the charge model
-    per-trial dynamic, so they run each trial on its own batched engine
-    instead of the cross-trial scan.  Results equal
-    :meth:`~repro.network.simulator.NetworkSimulator.run_event_loop` seed for
-    seed.
-    """
-    traffic = traffic if traffic is not None else PeriodicTraffic()
-    simulators = [
-        NetworkSimulator(
-            deployment=deployment,
-            energy_budget=energy_budget,
-            traffic=traffic,
-            communication_range_m=communication_range_m,
-            battery_capacity_j=battery_capacity_j,
-            mac=mac,
-            rng=seed,
-            protocol=protocol if protocol is not None else RoutedForwarding(),
-            mobility=mobility,
-        )
-        for seed in seeds
-    ]
-    run_args = dict(
-        max_time_s=max_time_s,
-        stop_at_first_death=stop_at_first_death,
-        max_events=max_events,
-    )
-    engines = [BatchNetworkEngine(sim) for sim in simulators]
-    general = bool(engines) and engines[0]._general
-    if not stop_at_first_death or general:
-        with span("engine.network.trials", trials=len(engines), mode="per-trial"):
-            return [engine.run(**run_args) for engine in engines]
-
-    # chunked cross-trial loop: every live trial's chunk is scanned in one
-    # (trials x nodes x events) pass under the shared all-alive charge model
-    num_trials = len(engines)
-    results: list[NetworkSimulationResult | None] = [None] * num_trials
-    if num_trials == 0:
-        return []
-    first = engines[0]
-    tx_ind, rx_ind, alive_source, deliverable = first._charge_model()
-    model = (tx_ind, rx_ind, alive_source, deliverable)
-    scan_rows = first._alive_sensor_rows()
-    streams = [
-        ScheduleStream(sim.traffic, sim.sensor_ids, as_rng(sim.rng), max_time_s, max_events)
-        for sim in simulators
-    ]
-    end_times = [0.0] * num_trials
-    live = list(range(num_trials))
-
-    def finalize(trial: int) -> None:
-        sim = simulators[trial]
-        sim._advance_all(end_times[trial])
-        results[trial] = sim._build_result(end_times[trial])
-
-    with span("engine.network.trials", trials=num_trials, mode="cross-trial"):
-        _run_cross_trial_scan(
-            engines, simulators, streams, live, end_times, finalize,
-            first, model, scan_rows, battery_capacity_j,
-        )
-        for trial in range(num_trials):
-            if results[trial] is None:
-                finalize(trial)
-    return [result for result in results if result is not None]
-
-
-def _run_cross_trial_scan(
-    engines, simulators, streams, live, end_times, finalize,
-    first, model, scan_rows, battery_capacity_j,
-) -> None:
-    """The chunked cross-trial death scan of :func:`simulate_network_trials`."""
-    tx_ind, rx_ind, _, _ = model
-    while live:
-        # budget the (nodes x trials x events) scan working set: with many
-        # live trials each one contributes a proportionally smaller chunk
-        _SCAN_TRIALS.observe(len(live))
-        chunk_size = max(256, _CHUNK_EVENTS // len(live))
-        chunks = {}
-        for trial in list(live):
-            times, sources = streams[trial].next_chunk(chunk_size)
-            if len(times) == 0:
-                finalize(trial)
-                live.remove(trial)
-            else:
-                chunks[trial] = (times, sources, engines[trial]._to_rows(sources))
-        if not chunks:
-            break
-        _CHUNKS.inc(len(chunks))
-        _EVENTS.inc(sum(len(chunk[0]) for chunk in chunks.values()))
-        order = sorted(chunks)
-        max_len = max(len(chunks[trial][0]) for trial in order)
-        times_pad = np.zeros((len(order), max_len))
-        src_pad = np.zeros((len(order), max_len), dtype=np.int64)
-        valid = np.zeros((len(order), max_len), dtype=bool)
-        base_tx = np.zeros((len(order), len(first._ids)), dtype=np.int64)
-        base_rx = np.zeros_like(base_tx)
-        for index, trial in enumerate(order):
-            times, _, src_rows = chunks[trial]
-            length = len(times)
-            times_pad[index, :length] = times
-            times_pad[index, length:] = times[-1]
-            src_pad[index, :length] = src_rows
-            valid[index, :length] = True
-            base_tx[index], base_rx[index] = engines[trial]._base_counts()
-        found = _first_crossings(
-            times_pad, src_pad, valid, tx_ind, rx_ind, base_tx, base_rx, scan_rows,
-            first._attempts, first._tx_energy, first._rx_energy, first._idle_power,
-            battery_capacity_j,
-        )
-        for index, trial in enumerate(order):
-            times, sources, src_rows = chunks[trial]
-            engine = engines[trial]
-            crossing = None if found[index] < 0 else int(found[index])
-            stop = len(times) if crossing is None else crossing
-            if stop > 0:
-                engine._fast_forward(times[:stop], src_rows[:stop], model)
-                end_times[trial] = float(times[stop - 1])
-            if crossing is None:
-                continue
-            end_times[trial] = float(times[crossing])
-            simulators[trial]._account_report(end_times[trial], int(sources[crossing]))
-            if simulators[trial]._first_death is None:
-                # defensive: a scanned crossing always kills a node in replay,
-                # but if it ever did not, consume the rest of the chunk with
-                # the single-trial engine and keep the trial live
-                last_time, finished = engine._consume(
-                    times[crossing + 1 :],
-                    sources[crossing + 1 :],
-                    src_rows[crossing + 1 :],
-                    stop_at_first_death=True,
-                )
-                if last_time is not None:
-                    end_times[trial] = last_time
-                if not finished:
-                    continue
-            finalize(trial)
-            live.remove(trial)

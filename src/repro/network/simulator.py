@@ -84,8 +84,8 @@ class NetworkSimulationResult:
         With zero generated packets the ratio is undefined and reported as
         ``nan`` (matching the ``LinkResult.symbol_error_rate`` convention) —
         a vacuously lossless run must not read as total loss.  Aggregators
-        must skip NaN explicitly (see
-        :func:`repro.analysis.ablations.summarize_lifetimes`).
+        must skip NaN explicitly: sweep records carry it as ``None``, which
+        :meth:`repro.experiments.runner.SweepResult.group_mean` skips.
         """
         if self.packets_generated == 0:
             return float("nan")
@@ -97,7 +97,8 @@ class NetworkSimulationResult:
 
         Callers aggregating across trials must handle the ``None`` explicitly
         (a censored observation: the deployment outlived the horizon), not
-        coerce it to 0 — see :func:`repro.analysis.ablations.summarize_lifetimes`.
+        coerce it to 0 — see
+        :meth:`repro.experiments.runner.SweepResult.group_mean`.
         """
         if self.first_death_time_s is None:
             return None

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _lifetime_trials_spec, build_parser, main
+from repro.experiments import run_sweep
+from tests.experiments.oracle import oracle_records, scalar_oracles
 
 
 class TestParser:
@@ -74,6 +76,23 @@ class TestMain:
         out = capsys.readouterr().out
         assert "MicroBlaze" in out and "lifetime" in out.lower()
 
+    @pytest.mark.parametrize("mode", [[], ["--trials", "1"]], ids=["analytical", "trials"])
+    @pytest.mark.parametrize("grid", ["1", "0", "-3"])
+    def test_lifetime_grid_below_two_is_a_usage_error(self, mode, grid, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lifetime", "--grid", grid, *mode])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--grid" in err and "at least 2" in err and "Traceback" not in err
+
+    def test_lifetime_trials_jobs_prints_identical_table(self, capsys):
+        argv = ["lifetime", "--trials", "2", "--grid", "3", "--battery-kj", "1"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main([*argv, "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert "note:" not in serial
+
     def test_export(self, capsys, tmp_path):
         assert main(["export", "--output-dir", str(tmp_path / "results")]) == 0
         out = capsys.readouterr().out
@@ -87,3 +106,28 @@ class TestMain:
         main(["--num-paths", "6", "table3"])
         out_6 = capsys.readouterr().out
         assert out_3 != out_6
+
+
+class TestLifetimeTrialsSweep:
+    """``lifetime --trials`` is a ``network-contention`` sweep: its records
+    equal the per-packet event loop's, trial by trial."""
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--mac", "csma", "--channel-load", "0.2", "--protocol", "flooding", "--ttl", "3"],
+        ["--mac", "csma", "--channel-load", "0.3", "--max-attempts", "3",
+         "--protocol", "flooding", "--ttl", "3",
+         "--drift-speed", "0.02", "--drift-epoch-s", "3600", "--battery-kj", "0.15"],
+        ["--topology", "random", "--grid", "4", "--mac", "csma", "--capture", "0.1",
+         "--seed", "3"],
+    ], ids=["mac-none", "csma-flooding", "csma-flooding-drift", "random-csma"])
+    def test_records_equal_scalar_oracle(self, flags, monkeypatch):
+        args = build_parser().parse_args(
+            ["lifetime", "--trials", "2", "--grid", "3", "--battery-kj", "0.5", *flags]
+        )
+        spec = _lifetime_trials_spec(args)
+        records = run_sweep(spec).records
+        assert len(records) == 10
+        assert all(record["lifetime_days"] is not None for record in records)
+        scalar_oracles(monkeypatch)
+        assert records == oracle_records(spec)

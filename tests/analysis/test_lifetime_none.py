@@ -3,6 +3,9 @@
 Mirrors the PR 2 NaN-SER fix: a deployment that outlives the simulation
 horizon has no death time, so its lifetime is ``None`` — downstream
 aggregation must treat that as a censored observation, never as 0 days.
+Sweep records carry censored lifetimes and zero-packet delivery ratios as
+``None``; ``SweepResult.group_mean`` skips them and the ``lifetime
+--trials`` table renders a platform without deaths as ``> horizon``.
 """
 
 from __future__ import annotations
@@ -11,11 +14,8 @@ import math
 
 import pytest
 
-from repro.analysis.ablations import (
-    simulated_network_lifetime_study,
-    summarize_lifetimes,
-)
-from repro.cli import main
+from repro.cli import _lifetime_trials_spec, _lifetime_trials_table, build_parser, main
+from repro.experiments.runner import SweepResult, run_sweep
 from repro.network.simulator import NetworkSimulationResult
 
 
@@ -28,6 +28,27 @@ def result(first_death_time_s, generated=10, delivered=10) -> NetworkSimulationR
         node_reports={},
         node_alive={},
     )
+
+
+def trials_spec(*argv: str):
+    return _lifetime_trials_spec(build_parser().parse_args(["lifetime", *argv]))
+
+
+def sweep_of(*records: tuple[float | None, float | None]) -> SweepResult:
+    """A one-platform ``lifetime --trials`` sweep with the given
+    (lifetime_days, delivery_ratio) records."""
+    spec = trials_spec("--trials", str(len(records))).with_zipped(
+        {"platform": ("X",), "energy_uj": (1.0,)}
+    )
+    return SweepResult(spec=spec, records=[
+        {"platform": "X", "lifetime_days": days, "delivery_ratio": ratio}
+        for days, ratio in records
+    ])
+
+
+def table_row(table: str, platform: str = "X") -> list[str]:
+    (row,) = [line for line in table.splitlines() if line.startswith(platform)]
+    return [cell.strip() for cell in row.split("|")]
 
 
 class TestLifetimeDaysNone:
@@ -43,82 +64,72 @@ class TestLifetimeDaysNone:
         assert instant.lifetime_days is not None
 
 
-class TestSummarizeLifetimes:
-    def test_all_censored_gives_none_mean(self):
-        summary = summarize_lifetimes("X", [result(None), result(None)])
-        assert summary.mean_lifetime_days is None
-        assert summary.died_trials == 0
-        assert summary.censored_trials == 2
-        assert summary.mean_delivery_ratio == 1.0
+class TestCensoredAggregation:
+    def test_all_censored_renders_beyond_horizon(self):
+        sweep = sweep_of((None, 1.0), (None, 1.0))
+        assert "X" not in sweep.group_mean(by="platform", metric="lifetime_days")
+        assert table_row(_lifetime_trials_table(sweep)) == ["X", "> horizon", "0/2", "1"]
 
     def test_censored_trials_excluded_from_mean(self):
-        summary = summarize_lifetimes(
-            "X", [result(86_400.0), result(None), result(3 * 86_400.0)]
-        )
+        sweep = sweep_of((1.0, 1.0), (None, 1.0), (3.0, 1.0))
         # mean over the two deaths only: (1 + 3) / 2 days, not (1 + 0 + 3) / 3
-        assert summary.mean_lifetime_days == pytest.approx(2.0)
-        assert summary.died_trials == 2
-        assert summary.censored_trials == 1
+        assert sweep.group_mean(by="platform", metric="lifetime_days") == {"X": 2.0}
+        assert table_row(_lifetime_trials_table(sweep))[1:3] == ["2", "2/3"]
 
     def test_zero_day_death_still_counts_as_death(self):
-        summary = summarize_lifetimes("X", [result(0.0), result(None)])
-        assert summary.died_trials == 1
-        assert summary.mean_lifetime_days == 0.0
+        sweep = sweep_of((0.0, 1.0), (None, 1.0))
+        assert sweep.group_mean(by="platform", metric="lifetime_days") == {"X": 0.0}
+        assert table_row(_lifetime_trials_table(sweep))[1:3] == ["0", "1/2"]
 
-    def test_empty_results(self):
-        summary = summarize_lifetimes("X", [])
-        assert summary.platform == "X"
-        assert summary.trials == 0
-        assert summary.died_trials == 0
-        assert summary.mean_lifetime_days is None
-        # no trials means no defined delivery ratio: NaN, not a fake 0.0
-        assert math.isnan(summary.mean_delivery_ratio)
+    def test_none_ratios_excluded_from_mean(self):
+        """Zero-packet trials have an undefined (NaN) delivery ratio, stored
+        as None; the mean skips them instead of poisoning the aggregate."""
+        sweep = sweep_of((None, 0.5), (None, None))
+        assert sweep.group_mean(by="platform", metric="delivery_ratio") == {"X": 0.5}
+        assert table_row(_lifetime_trials_table(sweep))[3] == "0.5"
 
-    def test_nan_ratios_excluded_from_mean(self):
-        """Zero-packet trials report a NaN delivery ratio; the mean skips
-        them instead of poisoning the aggregate (the PR's NaN bugfix)."""
-        summary = summarize_lifetimes(
-            "X",
-            [
-                result(None, generated=10, delivered=5),
-                result(None, generated=0, delivered=0),  # NaN ratio
-            ],
+    def test_all_none_ratios_render_nan(self):
+        sweep = sweep_of((None, None))
+        assert sweep.group_mean(by="platform", metric="delivery_ratio") == {}
+        assert table_row(_lifetime_trials_table(sweep))[3] == "nan"
+
+    def test_censored_platforms_sort_last(self):
+        spec = trials_spec("--trials", "1").with_zipped(
+            {"platform": ("A", "B", "C"), "energy_uj": (1.0, 2.0, 3.0)}
         )
-        assert summary.mean_delivery_ratio == pytest.approx(0.5)
+        sweep = SweepResult(spec=spec, records=[
+            {"platform": "A", "lifetime_days": None, "delivery_ratio": 1.0},
+            {"platform": "B", "lifetime_days": 5.0, "delivery_ratio": 1.0},
+            {"platform": "C", "lifetime_days": 2.0, "delivery_ratio": 1.0},
+        ])
+        rows = [line.split("|")[0].strip() for line in
+                _lifetime_trials_table(sweep).splitlines()[3:]]
+        assert rows == ["C", "B", "A"]
 
-    def test_all_nan_ratios_mean_is_nan(self):
-        summary = summarize_lifetimes("X", [result(None, generated=0, delivered=0)])
-        assert math.isnan(summary.mean_delivery_ratio)
 
-
-class TestSimulatedStudyCensoring:
+class TestSimulatedSweepCensoring:
     def test_huge_battery_reports_censored_not_zero(self):
-        summaries = simulated_network_lifetime_study(
-            grid_size=(2, 2),
-            battery_capacity_j=1e9,
-            report_interval_s=600.0,
-            platform_energies_uj={"FPGA": 9.5},
-            trials=2,
-            max_days=0.2,
+        spec = trials_spec(
+            "--trials", "2", "--grid", "2", "--battery-kj", "1e6",
+            "--report-interval-s", "600",
+        ).with_zipped({"platform": ("FPGA",), "energy_uj": (9.5,)}).with_base(max_days=0.2)
+        sweep = run_sweep(spec)
+        assert [r["lifetime_days"] for r in sweep.records] == [None, None]
+        assert sweep.group_mean(by="platform", metric="lifetime_days") == {}
+        assert sweep.group_mean(by="platform", metric="delivery_ratio")["FPGA"] == (
+            pytest.approx(1.0)
         )
-        summary = summaries["FPGA"]
-        assert summary.mean_lifetime_days is None
-        assert summary.censored_trials == 2
-        assert summary.mean_delivery_ratio == pytest.approx(1.0)
 
     def test_tiny_battery_reports_deaths(self):
-        summaries = simulated_network_lifetime_study(
-            grid_size=(3, 3),
-            battery_capacity_j=100.0,
-            report_interval_s=30.0,
-            platform_energies_uj={"MicroBlaze": 2000.40},
-            trials=2,
-            max_days=2.0,
+        spec = trials_spec(
+            "--trials", "2", "--grid", "3", "--battery-kj", "0.1",
+            "--report-interval-s", "30",
+        ).with_zipped({"platform": ("MicroBlaze",), "energy_uj": (2000.40,)}).with_base(
+            max_days=2.0
         )
-        summary = summaries["MicroBlaze"]
-        assert summary.died_trials == 2
-        assert summary.mean_lifetime_days is not None
-        assert summary.mean_lifetime_days > 0.0
+        sweep = run_sweep(spec)
+        assert all(r["lifetime_days"] is not None for r in sweep.records)
+        assert sweep.group_mean(by="platform", metric="lifetime_days")["MicroBlaze"] > 0.0
 
 
 class TestCliRendering:
@@ -149,3 +160,4 @@ class TestCliRendering:
         ]
         ratios = [float(row.rsplit("|", 1)[1]) for row in rows]
         assert ratios and all(ratio < 1.0 for ratio in ratios)
+        assert not math.isnan(sum(ratios))

@@ -156,6 +156,26 @@ class TestHelpers:
         assert set(means) == {6, 8}
         assert all(value >= 0 for value in means.values())
 
+    def test_group_mean_skips_none(self):
+        """None is a scenario's undefined value: skipped like a missing key,
+        and a group with no defined value is absent from the result."""
+        from repro.experiments.runner import SweepResult
+        from repro.experiments.spec import SweepSpec
+
+        result = SweepResult(spec=SweepSpec(scenario="x"), records=[
+            {"g": 1, "m": 2.0}, {"g": 1, "m": None}, {"g": 1, "m": 4.0},
+            {"g": 2, "m": None}, {"g": 3},
+        ])
+        assert result.group_mean(by="g", metric="m") == {1: 3.0}
+
+    def test_group_mean_of_censored_lifetimes(self):
+        # no node dies within this scenario's horizon: every lifetime is None
+        result = run_sweep(get_scenario("network-pdr-vs-density").spec)
+        assert result.group_mean(by="num_nodes", metric="lifetime_days") == {}
+        assert set(result.group_mean(by="num_nodes", metric="delivery_ratio")) == {
+            9, 16, 25, 36
+        }
+
 
 def _register_poison_scenario(name: str, poison: int) -> None:
     """Register a scenario whose trial raises for ``x == poison``."""

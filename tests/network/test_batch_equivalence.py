@@ -14,7 +14,7 @@ import math
 import pytest
 
 from repro.modem.energy_budget import ModemEnergyBudget
-from repro.network.batch import generate_report_schedule, simulate_network_trials
+from repro.network.batch import generate_report_schedule
 from repro.network.lifetime import lifetime_by_platform, lifetime_by_platform_per_node
 from repro.network.mac import CsmaMac, SlottedAloha, TDMASchedule
 from repro.network.routing import TtlFlooding
@@ -70,14 +70,22 @@ def make_simulator(
     )
 
 
-def event_loop_trials(deployment, energy_budget, *, seeds, max_time_s, **simulator_kwargs):
-    """:func:`simulate_network_trials` on the per-packet event loop, seed by seed."""
-    return [
-        NetworkSimulator(
+def seed_trials(
+    deployment, energy_budget, *, seeds, max_time_s, event_loop=False, **simulator_kwargs
+):
+    """One simulation per seed on a shared deployment and energy model.
+
+    Runs the batched engine (:meth:`NetworkSimulator.run`) or, with
+    ``event_loop``, the per-packet reference loop.
+    """
+    results = []
+    for seed in seeds:
+        simulator = NetworkSimulator(
             deployment=deployment, energy_budget=energy_budget, rng=seed, **simulator_kwargs
-        ).run_event_loop(max_time_s=max_time_s)
-        for seed in seeds
-    ]
+        )
+        run = simulator.run_event_loop if event_loop else simulator.run
+        results.append(run(max_time_s=max_time_s))
+    return results
 
 
 def assert_identical(reference, batched):
@@ -271,9 +279,9 @@ class TestContentionEquivalence:
         assert sum(not alive for alive in reference.node_alive.values()) > 1
         assert_identical(reference, batched)
 
-    def test_trials_helper_with_contention(self):
-        """simulate_network_trials falls back to per-trial batched engines for
-        the general path and still matches the event loop seed for seed."""
+    def test_trials_with_contention(self):
+        """Per-seed trials on the general path match the event loop seed for
+        seed."""
         deployment = grid_deployment(3, 3, spacing_m=200.0)
         budget = ModemEnergyBudget(
             transmit_power_w=2.0,
@@ -292,8 +300,8 @@ class TestContentionEquivalence:
             mac=self.CSMA,
             protocol=TtlFlooding(ttl=3),
         )
-        batched = simulate_network_trials(deployment, budget, **shared)
-        reference = event_loop_trials(deployment, budget, **shared)
+        batched = seed_trials(deployment, budget, **shared)
+        reference = seed_trials(deployment, budget, event_loop=True, **shared)
         assert len(batched) == len(reference) == 3
         for batch_result, loop_result in zip(batched, reference):
             assert_identical(loop_result, batch_result)
@@ -327,7 +335,7 @@ class TestScheduleGeneration:
         assert (times[:-1] <= times[1:]).all()
 
 
-class TestMultiTrialBatching:
+class TestPerSeedTrials:
     @pytest.mark.parametrize("jitter", [0.0, 0.1])
     def test_trials_match_event_loop_seed_for_seed(self, jitter):
         deployment = grid_deployment(4, 4, spacing_m=200.0)
@@ -347,29 +355,32 @@ class TestMultiTrialBatching:
             seeds=[0, 1, 2, 3],
             max_time_s=86_400.0,
         )
-        batched = simulate_network_trials(deployment, budget, **shared)
-        reference = event_loop_trials(deployment, budget, **shared)
+        batched = seed_trials(deployment, budget, **shared)
+        reference = seed_trials(deployment, budget, event_loop=True, **shared)
         assert len(batched) == len(reference) == 4
         for batch_result, loop_result in zip(batched, reference):
             assert batch_result.first_death_time_s is not None
             assert_identical(loop_result, batch_result)
 
     def test_trials_mixed_censoring(self):
-        """Trials that outlive the horizon finalise cleanly alongside dying ones."""
+        """Trials that outlive the horizon finalise cleanly, equal to the event loop."""
         deployment = grid_deployment(3, 3, spacing_m=200.0)
         budget = ModemEnergyBudget(processing_energy_per_estimation_j=9.5e-6)
-        traffic = PeriodicTraffic(report_interval_s=600.0, packet_symbols=16, jitter_fraction=0.1)
-        results = simulate_network_trials(
-            deployment,
-            budget,
-            traffic=traffic,
+        shared = dict(
+            traffic=PeriodicTraffic(
+                report_interval_s=600.0, packet_symbols=16, jitter_fraction=0.1
+            ),
             communication_range_m=300.0,
             battery_capacity_j=50_000.0,
             seeds=[0, 1],
             max_time_s=3_600.0,
         )
+        results = seed_trials(deployment, budget, **shared)
         assert [r.lifetime_days for r in results] == [None, None]
         assert all(r.delivery_ratio == 1.0 for r in results)
+        reference = seed_trials(deployment, budget, event_loop=True, **shared)
+        for batch_result, loop_result in zip(results, reference):
+            assert_identical(loop_result, batch_result)
 
 
 class TestAnalyticalLifetimeBatch:

@@ -15,7 +15,7 @@ from repro.core.ipcore import BatchIPCoreEngine, IPCoreConfig
 from repro.experiments import get_scenario, run_sweep
 from repro.modem.batch import BatchLinkEngine
 from repro.modem.energy_budget import ModemEnergyBudget
-from repro.network.batch import simulate_network_trials
+from repro.network.simulator import NetworkSimulator
 from repro.network.topology import grid_deployment
 from repro.network.traffic import PeriodicTraffic
 from repro.telemetry import registry, start_trace
@@ -108,21 +108,20 @@ class TestLinkEngineSpans:
 
 
 class TestNetworkEngineSpans:
-    def test_trials_run_and_scan_spans(self):
-        deployment = grid_deployment(3, 3, spacing_m=200.0)
-        budget = ModemEnergyBudget(processing_energy_per_estimation_j=500.76e-6)
-        traffic = PeriodicTraffic(report_interval_s=30.0, packet_symbols=16,
-                                  jitter_fraction=0.0)
+    def test_run_span_and_event_counter(self):
+        simulator = NetworkSimulator(
+            deployment=grid_deployment(3, 3, spacing_m=200.0),
+            energy_budget=ModemEnergyBudget(processing_energy_per_estimation_j=500.76e-6),
+            traffic=PeriodicTraffic(report_interval_s=30.0, packet_symbols=16,
+                                    jitter_fraction=0.0),
+            battery_capacity_j=150.0,
+            rng=0,
+        )
         events_before = registry().counter("engine.network.events").value
         with start_trace() as tracer:
-            simulate_network_trials(
-                deployment, budget, traffic=traffic, battery_capacity_j=150.0,
-                seeds=[0, 1], max_time_s=3_600.0,
-            )
-        names = _names(tracer)
-        assert "engine.network.trials" in names
-        trials_span = next(r for r in tracer.records if r.name == "engine.network.trials")
-        assert trials_span.attributes["mode"] == "cross-trial"
+            simulator.run(max_time_s=3_600.0)
+        (run_span,) = [r for r in tracer.records if r.name == "engine.network.run"]
+        assert run_span.attributes["nodes"] == 9
         assert registry().counter("engine.network.events").value > events_before
 
 
