@@ -31,36 +31,7 @@ Quick start
 True
 """
 
-from repro.analysis.ablations import aquamodem_signal_matrices
-from repro.channel.multipath import MultipathChannel, random_sparse_channel
-from repro.core.dse import DesignPoint, DesignSpaceExplorer
-from repro.core.fixedpoint_mp import FixedPointMatchingPursuit
-from repro.core.ipcore import BatchIPCoreEngine, IPCoreConfig, IPCoreSimulator
-from repro.core.matching_pursuit import (
-    MatchingPursuitResult,
-    matching_pursuit,
-    matching_pursuit_naive,
-)
-from repro.dsp.signal_matrix import SignalMatrices, build_signal_matrices
-from repro.experiments import (
-    ResultCache,
-    ResultStore,
-    Scenario,
-    SeedPolicy,
-    SweepSpec,
-    get_scenario,
-    list_scenarios,
-    run_sweep,
-)
-from repro.hardware.comparison import compare_platforms
-from repro.hardware.devices import SPARTAN3_XC3S5000, VIRTEX4_XC4VSX55, get_device
-from repro.hardware.fpga import FPGAImplementation
-from repro.hardware.processors import microblaze_soft_core, ti_c6713
-from repro.modem.config import AquaModemConfig
-from repro.modem.receiver import Receiver
-from repro.modem.transmitter import Transmitter
-from repro.network.simulator import NetworkSimulator
-from repro.network.topology import grid_deployment, random_deployment
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -108,3 +79,28 @@ __all__ = [
     "grid_deployment",
     "random_deployment",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "analysis.ablations": ("aquamodem_signal_matrices",),
+    "channel.multipath": ("MultipathChannel", "random_sparse_channel"),
+    "core.dse": ("DesignPoint", "DesignSpaceExplorer"),
+    "core.fixedpoint_mp": ("FixedPointMatchingPursuit",),
+    "core.ipcore": ("BatchIPCoreEngine", "IPCoreConfig", "IPCoreSimulator"),
+    "core.matching_pursuit": (
+        "MatchingPursuitResult", "matching_pursuit", "matching_pursuit_naive",
+    ),
+    "dsp.signal_matrix": ("SignalMatrices", "build_signal_matrices"),
+    "experiments": (
+        "ResultCache", "ResultStore", "Scenario", "SeedPolicy", "SweepSpec", "get_scenario",
+        "list_scenarios", "run_sweep",
+    ),
+    "hardware.comparison": ("compare_platforms",),
+    "hardware.devices": ("SPARTAN3_XC3S5000", "VIRTEX4_XC4VSX55", "get_device"),
+    "hardware.fpga": ("FPGAImplementation",),
+    "hardware.processors": ("microblaze_soft_core", "ti_c6713"),
+    "modem.config": ("AquaModemConfig",),
+    "modem.receiver": ("Receiver",),
+    "modem.transmitter": ("Transmitter",),
+    "network.simulator": ("NetworkSimulator",),
+    "network.topology": ("grid_deployment", "random_deployment"),
+})

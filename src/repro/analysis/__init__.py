@@ -16,21 +16,7 @@
 * :mod:`repro.analysis.report` — paper-vs-measured report rendering.
 """
 
-from repro.analysis import paper_data
-from repro.analysis.table1 import reproduce_table1
-from repro.analysis.figure4 import reproduce_figure4
-from repro.analysis.table2 import reproduce_table2, Table2Row
-from repro.analysis.figure6 import reproduce_figure6, Figure6Point
-from repro.analysis.table3 import reproduce_table3, Table3Row
-from repro.analysis.ablations import (
-    bitwidth_accuracy_ablation,
-    parallelism_ablation,
-    dsss_vs_fsk_ablation,
-    network_lifetime_study,
-)
-from repro.analysis.sensitivity import SensitivityPoint, headline_sensitivity, PERTURBABLE_PARAMETERS
-from repro.analysis.export import export_all, write_csv
-from repro.analysis.report import comparison_report
+from repro._lazy import lazy_exports
 
 __all__ = [
     "paper_data",
@@ -53,3 +39,18 @@ __all__ = [
     "write_csv",
     "comparison_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "table1": ("reproduce_table1",),
+    "figure4": ("reproduce_figure4",),
+    "table2": ("reproduce_table2", "Table2Row"),
+    "figure6": ("reproduce_figure6", "Figure6Point"),
+    "table3": ("reproduce_table3", "Table3Row"),
+    "ablations": (
+        "bitwidth_accuracy_ablation", "parallelism_ablation", "dsss_vs_fsk_ablation",
+        "network_lifetime_study",
+    ),
+    "sensitivity": ("SensitivityPoint", "headline_sensitivity", "PERTURBABLE_PARAMETERS"),
+    "export": ("export_all", "write_csv"),
+    "report": ("comparison_report",),
+})

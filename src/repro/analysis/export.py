@@ -14,10 +14,6 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.figure6 import reproduce_figure6
-from repro.analysis.table1 import reproduce_table1
-from repro.analysis.table2 import reproduce_table2
-from repro.analysis.table3 import reproduce_table3
 from repro.utils.atomic import atomic_writer
 
 __all__ = ["write_csv", "export_all"]
@@ -45,6 +41,12 @@ def export_all(output_dir: Path | str, num_paths: int = 6) -> dict[str, Path]:
 
     Returns a mapping from artefact name to the file written.
     """
+    # imported here: every sweep's ResultStore uses write_csv, not the tables
+    from repro.analysis.figure6 import reproduce_figure6
+    from repro.analysis.table1 import reproduce_table1
+    from repro.analysis.table2 import reproduce_table2
+    from repro.analysis.table3 import reproduce_table3
+
     output_dir = Path(output_dir)
     written: dict[str, Path] = {}
 

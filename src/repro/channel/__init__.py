@@ -19,31 +19,7 @@ This subpackage simulates that environment from scratch:
   transmitted sample stream at a requested SNR.
 """
 
-from repro.channel.propagation import (
-    thorp_absorption_db_per_km,
-    spreading_loss_db,
-    transmission_loss_db,
-    received_level_db,
-    sound_speed_mackenzie,
-)
-from repro.channel.noise import (
-    ambient_noise_psd_db,
-    total_noise_level_db,
-    complex_awgn,
-)
-from repro.channel.geometry import ShallowWaterGeometry, image_method_paths
-from repro.channel.multipath import (
-    MultipathChannel,
-    random_sparse_channel,
-    random_sparse_channel_batch,
-)
-from repro.channel.simulator import (
-    ChannelSimulator,
-    apply_channel,
-    apply_channel_batch,
-    add_noise_for_snr,
-    add_noise_for_snr_batch,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "thorp_absorption_db_per_km",
@@ -65,3 +41,17 @@ __all__ = [
     "add_noise_for_snr",
     "add_noise_for_snr_batch",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "propagation": (
+        "thorp_absorption_db_per_km", "spreading_loss_db", "transmission_loss_db",
+        "received_level_db", "sound_speed_mackenzie",
+    ),
+    "noise": ("ambient_noise_psd_db", "total_noise_level_db", "complex_awgn"),
+    "geometry": ("ShallowWaterGeometry", "image_method_paths"),
+    "multipath": ("MultipathChannel", "random_sparse_channel", "random_sparse_channel_batch"),
+    "simulator": (
+        "ChannelSimulator", "apply_channel", "apply_channel_batch", "add_noise_for_snr",
+        "add_noise_for_snr_batch",
+    ),
+})

@@ -34,38 +34,54 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
-from repro.analysis.ablations import (
-    aquamodem_signal_matrices,
-    bitwidth_accuracy_ablation,
-    network_lifetime_study,
-)
-from repro.analysis.figure6 import render_figure6, reproduce_figure6
-from repro.analysis.report import comparison_report
-from repro.analysis.table1 import render_table1, reproduce_table1
-from repro.analysis.table2 import render_table2, reproduce_table2
-from repro.analysis.table3 import render_table3, reproduce_table3
-from repro.channel.multipath import random_sparse_channel
-from repro.channel.simulator import add_noise_for_snr
-from repro.core.matching_pursuit import matching_pursuit
-from repro.modem.config import AquaModemConfig
+# Only the standard library and the table renderer load at import time: each
+# handler imports the layers it runs, so `repro scenarios` or a hardware-only
+# sweep never pays for numpy, scipy or networkx it does not use.
 from repro.utils.tables import format_table
 
 __all__ = ["build_parser", "main"]
 
 
-def _grid_side(text: str) -> int:
-    """``--grid``: a deployment needs a sink plus at least one sensor."""
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an int of at least ``minimum`` (else a usage error, exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+#: ``--jobs``/``--max-workers``: a pool needs at least one worker.
+_positive_int = _int_at_least(1)
+#: ``--grid``: a deployment needs a sink plus at least one sensor.
+_grid_side = _int_at_least(2)
+
+
+def _finite_float(text: str) -> float:
+    """An argparse type: a finite float (``nan``/``inf`` are usage errors, exit 2)."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
+
+
+def _finite_float_list(text: str) -> tuple[float, ...]:
+    """An argparse type: comma-separated finite floats (``ser --snr-db``)."""
+    return tuple(_finite_float(token) for token in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,8 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bitwidth = subparsers.add_parser("bitwidth", help="fixed-point accuracy ablation (E6)")
     bitwidth.add_argument("--trials", type=int, default=12, help="Monte-Carlo trials per word length")
-    bitwidth.add_argument("--snr-db", type=float, default=25.0, help="per-sample SNR")
-    bitwidth.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
+    bitwidth.add_argument("--snr-db", type=_finite_float, default=25.0, help="per-sample SNR")
+    bitwidth.add_argument("--jobs", type=_positive_int, default=1,
+                          help="worker processes for the sweep")
 
     lifetime = subparsers.add_parser("lifetime", help="network lifetime by platform (E9)")
     lifetime.add_argument("--grid", type=_grid_side, default=5,
@@ -110,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     lifetime.add_argument("--battery-kj", type=float, default=200.0, help="battery capacity in kJ")
     lifetime.add_argument("--report-interval-s", type=float, default=120.0,
                           help="sensing report interval per node")
-    lifetime.add_argument("--jobs", type=int, default=1,
+    lifetime.add_argument("--jobs", type=_positive_int, default=1,
                           help="worker processes for the sweep (analytical or --trials)")
     lifetime.add_argument(
         "--trials", type=int, default=0,
@@ -161,12 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ipcore.add_argument("--word-length", type=int, default=8, help="datapath width in bits")
     ipcore.add_argument("--trials", type=int, default=8, help="Monte-Carlo trials per level")
-    ipcore.add_argument("--snr-db", type=float, default=25.0, help="per-sample SNR")
+    ipcore.add_argument("--snr-db", type=_finite_float, default=25.0, help="per-sample SNR")
     ipcore.add_argument("--seed", type=int, default=0, help="base seed for channels/noise")
 
     ser = subparsers.add_parser("ser", help="DS-SS vs FSK symbol error rate sweep (E7)")
     ser.add_argument(
-        "--snr-db", default="-9,-6,-3,0,3", metavar="V1,V2,...",
+        "--snr-db", type=_finite_float_list, default="-9,-6,-3,0,3", metavar="V1,V2,...",
         help="comma-separated SNR points in dB (default: -9,-6,-3,0,3); "
         "write lists starting with a negative value as --snr-db=-12,-9,...",
     )
@@ -187,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a parameter axis (repeatable); one value pins it, several sweep "
         "it; on a zipped axis the values select rows (pairing kept)",
     )
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes (default: serial)")
+    sweep.add_argument("--jobs", type=_positive_int, default=1,
+                       help="worker processes (default: serial)")
     sweep.add_argument("--replicates", type=int, default=None,
                        help="override the scenario's replicate count")
     sweep.add_argument("--seed", type=int, default=None, help="override the base seed")
@@ -254,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared trial cache directory (default: .repro_cache)")
     serve.add_argument("--no-cache", action="store_true",
                        help="run without the shared result cache")
-    serve.add_argument("--max-workers", type=int, default=2,
+    serve.add_argument("--max-workers", type=_positive_int, default=2,
                        help="concurrent sweep jobs (default: 2)")
     serve.add_argument(
         "--warehouse", default=None, metavar="DB",
@@ -277,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--seed", type=int, default=None, help="override the base seed")
     submit.add_argument("--url", default="http://127.0.0.1:8765",
                         help="daemon base URL (default: http://127.0.0.1:8765)")
-    submit.add_argument("--jobs", type=int, default=1,
+    submit.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes the daemon uses for this sweep")
     submit.add_argument("--no-cache-job", action="store_true",
                         help="ask the daemon to bypass its shared cache for this job")
@@ -397,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     estimate = subparsers.add_parser("estimate", help="run one MP channel estimation")
     estimate.add_argument("--seed", type=int, default=0, help="channel / noise seed")
-    estimate.add_argument("--snr-db", type=float, default=20.0, help="per-sample SNR")
+    estimate.add_argument("--snr-db", type=_finite_float, default=20.0, help="per-sample SNR")
     estimate.add_argument("--channel-paths", type=int, default=4, help="true number of paths")
 
     export = subparsers.add_parser(
@@ -409,6 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_estimate(args: argparse.Namespace) -> str:
+    from repro.analysis.ablations import aquamodem_signal_matrices
+    from repro.channel.multipath import random_sparse_channel
+    from repro.channel.simulator import add_noise_for_snr
+    from repro.core.matching_pursuit import matching_pursuit
+    from repro.modem.config import AquaModemConfig
+
     config = AquaModemConfig(num_paths=args.num_paths)
     matrices = aquamodem_signal_matrices(config)
     channel = random_sparse_channel(
@@ -433,6 +457,8 @@ def _run_estimate(args: argparse.Namespace) -> str:
 
 
 def _run_bitwidth(args: argparse.Namespace) -> str:
+    from repro.analysis.ablations import bitwidth_accuracy_ablation
+
     results = bitwidth_accuracy_ablation(
         word_lengths=(4, 6, 8, 10, 12, 16),
         num_trials=args.trials,
@@ -530,6 +556,8 @@ def _run_lifetime(args: argparse.Namespace) -> str:
 
         spec = _lifetime_trials_spec(args)
         return _lifetime_trials_table(run_sweep(spec, jobs=args.jobs))
+    from repro.analysis.ablations import network_lifetime_study
+
     lifetimes = network_lifetime_study(
         grid_size=(args.grid, args.grid),
         battery_capacity_j=args.battery_kj * 1e3,
@@ -582,15 +610,9 @@ def _run_ser(args: argparse.Namespace) -> str:
 
     from repro.analysis.ablations import dsss_vs_fsk_ablation
 
-    try:
-        snr_points = tuple(float(token) for token in args.snr_db.split(","))
-    except ValueError:
-        raise SystemExit(
-            f"error: --snr-db expects comma-separated numbers, got {args.snr_db!r}"
-        ) from None
     start = time.perf_counter()
     curves = dsss_vs_fsk_ablation(
-        snr_points_db=snr_points,
+        snr_points_db=args.snr_db,
         num_symbols=args.symbols,
         rng=args.seed,
         num_frames=args.frames,
@@ -1086,14 +1108,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     _configure_logging(args)
 
     if args.command == "table1":
+        from repro.analysis.table1 import render_table1, reproduce_table1
+
         output = render_table1(reproduce_table1())
     elif args.command == "table2":
+        from repro.analysis.table2 import render_table2, reproduce_table2
+
         output = render_table2(reproduce_table2(num_paths=args.num_paths))
     elif args.command == "figure6":
+        from repro.analysis.figure6 import render_figure6, reproduce_figure6
+
         output = render_figure6(reproduce_figure6(num_paths=args.num_paths))
     elif args.command == "table3":
+        from repro.analysis.table3 import render_table3, reproduce_table3
+
         output = render_table3(reproduce_table3(num_paths=args.num_paths))
     elif args.command == "report":
+        from repro.analysis.report import comparison_report
+
         output = comparison_report(num_paths=args.num_paths)
     elif args.command == "bitwidth":
         output = _run_bitwidth(args)

@@ -18,34 +18,7 @@ Modules
 * :mod:`repro.core.metrics` — channel-estimation quality metrics.
 """
 
-from repro.core.matching_pursuit import (
-    BatchMatchingPursuitResult,
-    MatchingPursuitResult,
-    matching_pursuit,
-    matching_pursuit_batch,
-    matching_pursuit_naive,
-)
-from repro.core.refinement import matching_pursuit_ls, refine_least_squares
-from repro.core.fixedpoint_mp import (
-    BatchFixedPointEstimate,
-    FixedPointEstimate,
-    FixedPointMatchingPursuit,
-)
-from repro.core.metrics import (
-    coefficient_mse,
-    normalized_channel_error,
-    support_recovery_rate,
-    residual_energy_ratio,
-)
-from repro.core.ipcore import (
-    BatchIPCoreEngine,
-    BatchIPCoreRun,
-    FilterAndCancelBlock,
-    IPCoreConfig,
-    IPCoreSimulator,
-    check_conformance,
-)
-from repro.core.dse import DesignPoint, DesignPointEvaluation, DesignSpaceExplorer
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchMatchingPursuitResult",
@@ -72,3 +45,21 @@ __all__ = [
     "DesignPointEvaluation",
     "DesignSpaceExplorer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "matching_pursuit": (
+        "BatchMatchingPursuitResult", "MatchingPursuitResult", "matching_pursuit",
+        "matching_pursuit_batch", "matching_pursuit_naive",
+    ),
+    "refinement": ("matching_pursuit_ls", "refine_least_squares"),
+    "fixedpoint_mp": ("BatchFixedPointEstimate", "FixedPointEstimate", "FixedPointMatchingPursuit"),
+    "metrics": (
+        "coefficient_mse", "normalized_channel_error", "support_recovery_rate",
+        "residual_energy_ratio",
+    ),
+    "ipcore": (
+        "BatchIPCoreEngine", "BatchIPCoreRun", "FilterAndCancelBlock", "IPCoreConfig",
+        "IPCoreSimulator", "check_conformance",
+    ),
+    "dse": ("DesignPoint", "DesignPointEvaluation", "DesignSpaceExplorer"),
+})

@@ -31,16 +31,7 @@ This package mirrors that structure in software:
   (IP core == fixed-point MP == float reference within documented bounds).
 """
 
-from repro.core.ipcore.fc_block import CoreRegisters, FilterAndCancelBlock
-from repro.core.ipcore.qgen import QGenBlock, QGenDecision
-from repro.core.ipcore.control import ControlUnit, CyclePhase, ScheduleBreakdown
-from repro.core.ipcore.simulator import IPCoreConfig, IPCoreRun, IPCoreSimulator
-from repro.core.ipcore.batch import BatchIPCoreEngine, BatchIPCoreRun
-from repro.core.ipcore.conformance import (
-    ConformanceCell,
-    ConformanceReport,
-    check_conformance,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CoreRegisters",
@@ -59,3 +50,12 @@ __all__ = [
     "ConformanceReport",
     "check_conformance",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "fc_block": ("CoreRegisters", "FilterAndCancelBlock"),
+    "qgen": ("QGenBlock", "QGenDecision"),
+    "control": ("ControlUnit", "CyclePhase", "ScheduleBreakdown"),
+    "simulator": ("IPCoreConfig", "IPCoreRun", "IPCoreSimulator"),
+    "batch": ("BatchIPCoreEngine", "BatchIPCoreRun"),
+    "conformance": ("ConformanceCell", "ConformanceReport", "check_conformance"),
+})

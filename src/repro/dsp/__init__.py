@@ -14,14 +14,7 @@ the paper's modem and Matching Pursuits kernel depend on:
 * DS-SS and non-coherent FSK modulators/demodulators (:mod:`repro.dsp.modulation`).
 """
 
-from repro.dsp.walsh import walsh_matrix, walsh_codes, is_orthogonal_set
-from repro.dsp.msequence import LinearFeedbackShiftRegister, m_sequence, periodic_autocorrelation
-from repro.dsp.spreading import composite_waveform, composite_waveform_set, spread_symbols
-from repro.dsp.sampling import upsample_chips, rectangular_pulse_shape
-from repro.dsp.matched_filter import matched_filter, correlate_full, normalized_correlation
-from repro.dsp.signal_matrix import SignalMatrices, build_signal_matrices
-from repro.dsp.detection import detect_symbols, rake_combine
-from repro.dsp.passband import PassbandFrontEnd, upconvert, downconvert
+from repro._lazy import lazy_exports
 
 __all__ = [
     "walsh_matrix",
@@ -46,3 +39,14 @@ __all__ = [
     "upconvert",
     "downconvert",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "walsh": ("walsh_matrix", "walsh_codes", "is_orthogonal_set"),
+    "msequence": ("LinearFeedbackShiftRegister", "m_sequence", "periodic_autocorrelation"),
+    "spreading": ("composite_waveform", "composite_waveform_set", "spread_symbols"),
+    "sampling": ("upsample_chips", "rectangular_pulse_shape"),
+    "matched_filter": ("matched_filter", "correlate_full", "normalized_correlation"),
+    "signal_matrix": ("SignalMatrices", "build_signal_matrices"),
+    "detection": ("detect_symbols", "rake_combine"),
+    "passband": ("PassbandFrontEnd", "upconvert", "downconvert"),
+})

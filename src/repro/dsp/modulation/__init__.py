@@ -5,8 +5,12 @@ DS-SS outperforms).  Both operate on complex baseband sample streams so they
 can share the same channel simulator.
 """
 
-from repro.dsp.modulation.base import Modulator, DemodulationResult
-from repro.dsp.modulation.dsss import DSSSModulator
-from repro.dsp.modulation.fsk import FSKModulator
+from repro._lazy import lazy_exports
 
 __all__ = ["Modulator", "DemodulationResult", "DSSSModulator", "FSKModulator"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("Modulator", "DemodulationResult"),
+    "dsss": ("DSSSModulator",),
+    "fsk": ("FSKModulator",),
+})

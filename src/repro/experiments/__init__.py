@@ -20,34 +20,7 @@ Quick start::
     result.group_mean(by="word_length", metric="normalized_error")
 """
 
-from repro.experiments.adaptive import (
-    AdaptiveConfig,
-    AdaptivePointSummary,
-    AdaptiveSweepResult,
-    run_adaptive_sweep,
-)
-from repro.experiments.cache import CacheStats, ResultCache, code_version_tag, trial_key
-from repro.experiments.registry import (
-    Scenario,
-    get_scenario,
-    list_scenarios,
-    register,
-    scenario_names,
-)
-from repro.experiments.runner import (
-    SweepResult,
-    SweepStats,
-    execute_trials,
-    run_sweep,
-)
-from repro.experiments.segments import (
-    SegmentedResultStore,
-    iter_merged_records,
-    run_fingerprint,
-    segment_files,
-)
-from repro.experiments.spec import SeedPolicy, SweepSpec, TrialPoint, stable_hash
-from repro.experiments.store import ResultStore, iter_jsonl, read_jsonl, write_jsonl
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SweepSpec",
@@ -80,3 +53,15 @@ __all__ = [
     "read_jsonl",
     "iter_jsonl",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "adaptive": (
+        "AdaptiveConfig", "AdaptivePointSummary", "AdaptiveSweepResult", "run_adaptive_sweep",
+    ),
+    "cache": ("CacheStats", "ResultCache", "code_version_tag", "trial_key"),
+    "registry": ("Scenario", "get_scenario", "list_scenarios", "register", "scenario_names"),
+    "runner": ("SweepResult", "SweepStats", "execute_trials", "run_sweep"),
+    "segments": ("SegmentedResultStore", "iter_merged_records", "run_fingerprint", "segment_files"),
+    "spec": ("SeedPolicy", "SweepSpec", "TrialPoint", "stable_hash"),
+    "store": ("ResultStore", "iter_jsonl", "read_jsonl", "write_jsonl"),
+})

@@ -31,36 +31,24 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.channel.multipath import random_sparse_channel
-from repro.channel.simulator import add_noise_for_snr
-from repro.core.fixedpoint_mp import FixedPointMatchingPursuit
-from repro.core.ipcore import BatchIPCoreEngine, IPCoreConfig
-from repro.core.matching_pursuit import matching_pursuit
-from repro.core.metrics import normalized_channel_error, support_recovery_rate
-from repro.core.refinement import refine_least_squares
-from repro.dsp.signal_matrix import SignalMatrices, composite_signal_matrices
 from repro.experiments.spec import SeedPolicy, SweepSpec
-from repro.hardware.comparison import PlatformComparison, compare_platforms
 from repro.modem.config import AquaModemConfig
-from repro.modem.energy_budget import ModemEnergyBudget
-from repro.modem.link import LinkSimulator
-from repro.network.lifetime import lifetime_by_platform
-from repro.network.mac import CsmaMac
-from repro.network.routing import RoutedForwarding, TtlFlooding, shortest_path_routing
-from repro.network.simulator import NetworkSimulator
-from repro.network.topology import (
-    LinearMobility,
-    connectivity_graph,
-    grid_deployment,
-    random_deployment,
-)
-from repro.network.traffic import PeriodicTraffic
 from repro.telemetry.metrics import counter, histogram
 from repro.telemetry.tracing import span
+
+# Registration needs only the names above.  Every engine, channel, hardware
+# and network import sits in the function that uses it, so listing the
+# scenarios or running one of them loads only that scenario's layers.
+if TYPE_CHECKING:
+    from repro.core.fixedpoint_mp import FixedPointMatchingPursuit
+    from repro.core.ipcore import BatchIPCoreEngine
+    from repro.dsp.signal_matrix import SignalMatrices
+    from repro.hardware.comparison import PlatformComparison
+    from repro.network.simulator import NetworkSimulator
 
 __all__ = [
     "Scenario",
@@ -187,6 +175,8 @@ def config_params(config: AquaModemConfig) -> dict[str, Any]:
 
 @functools.lru_cache(maxsize=8)
 def _matrices(walsh_symbols: int, spreading_chips: int, samples_per_chip: int) -> SignalMatrices:
+    from repro.dsp.signal_matrix import composite_signal_matrices
+
     return composite_signal_matrices(walsh_symbols, spreading_chips, samples_per_chip)
 
 
@@ -198,6 +188,8 @@ def _matrices_for(config: AquaModemConfig) -> SignalMatrices:
 def _fixed_point_estimator(
     config_key: tuple, word_length: int,
 ) -> FixedPointMatchingPursuit:
+    from repro.core.fixedpoint_mp import FixedPointMatchingPursuit
+
     config = _config(config_key)
     return FixedPointMatchingPursuit(
         _matrices_for(config), word_length=word_length, num_paths=config.num_paths
@@ -208,6 +200,8 @@ def _fixed_point_estimator(
 def _ipcore_engine(
     config_key: tuple, num_fc_blocks: int, word_length: int,
 ) -> BatchIPCoreEngine:
+    from repro.core.ipcore import BatchIPCoreEngine, IPCoreConfig
+
     config = _config(config_key)
     return BatchIPCoreEngine(
         _matrices_for(config),
@@ -224,6 +218,9 @@ def _channel_problem(
     config_key: tuple, num_channel_paths: int, snr_db: float, seed: int,
 ):
     """One estimation problem: (channel, true coefficients, noisy receive)."""
+    from repro.channel.multipath import random_sparse_channel
+    from repro.channel.simulator import add_noise_for_snr
+
     config = _config(config_key)
     matrices = _matrices_for(config)
     channel = random_sparse_channel(
@@ -242,6 +239,8 @@ def _float_estimate(
     config_key: tuple, num_channel_paths: int, snr_db: float, seed: int, num_paths: int,
 ):
     """Floating-point MP estimate of one problem (shared across axis values)."""
+    from repro.core.matching_pursuit import matching_pursuit
+
     config = _config(config_key)
     _, _, received = _channel_problem(config_key, num_channel_paths, snr_db, seed)
     return matching_pursuit(received, _matrices_for(config), num_paths=num_paths)
@@ -249,6 +248,8 @@ def _float_estimate(
 
 @functools.lru_cache(maxsize=8)
 def _platform_comparison(num_paths: int) -> PlatformComparison:
+    from repro.hardware.comparison import compare_platforms
+
     return compare_platforms(num_paths=num_paths)
 
 
@@ -301,6 +302,8 @@ def fixedpoint_trial_metrics(channel, true_f, reference, estimate) -> dict[str, 
     evaluate the identical float expressions on identical coefficient arrays
     — which is what lets their records be compared with ``==``.
     """
+    from repro.core.metrics import normalized_channel_error, support_recovery_rate
+
     vs_float = (
         normalized_channel_error(reference.coefficients, estimate.coefficients)
         if np.linalg.norm(reference.coefficients) > 0
@@ -330,6 +333,9 @@ def _topology_routing(
     number of nodes uniformly over the equivalent area (sink at the centre),
     with the scatter drawn deterministically from ``topology_seed``.
     """
+    from repro.network.routing import shortest_path_routing
+    from repro.network.topology import connectivity_graph, grid_deployment, random_deployment
+
     if topology == "grid":
         deployment = grid_deployment(rows, cols, spacing_m=spacing_m)
     elif topology == "random":
@@ -346,6 +352,8 @@ def _topology_routing(
 # --------------------------------------------------------------------------- #
 def _modem_ser_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
     """One SER measurement of one scheme at one SNR point (batched link engine)."""
+    from repro.modem.link import LinkSimulator
+
     simulator = LinkSimulator(
         config=_config_from(params),
         num_channel_paths=int(params["num_channel_paths"]),
@@ -498,6 +506,9 @@ def _platform_energy_trial(params: Mapping[str, Any], seed: int) -> dict[str, An
 
 def _mp_refinement_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
     """Greedy vs LS-refined MP estimation quality at one Nf on one channel."""
+    from repro.core.metrics import normalized_channel_error, support_recovery_rate
+    from repro.core.refinement import refine_least_squares
+
     config_key = _config_key(params)
     matrices = _matrices_for(_config(config_key))
     num_channel_paths = int(params["num_channel_paths"])
@@ -526,6 +537,10 @@ def _network_lifetime_trial(params: Mapping[str, Any], seed: int) -> dict[str, A
 
     ``topology`` selects the deployment geometry (``grid`` or ``random``).
     """
+    from repro.modem.energy_budget import ModemEnergyBudget
+    from repro.network.lifetime import lifetime_by_platform
+    from repro.network.traffic import PeriodicTraffic
+
     config = _config_from(params)
     platform = str(params["platform"])
     energy_uj = float(params["energy_uj"])
@@ -567,6 +582,13 @@ def _contention_simulator(params: Mapping[str, Any], seed: int) -> NetworkSimula
     ``continuous_detection`` (default off) adds one channel estimation per
     receive-vector period to the idle power, as in ``network-lifetime``.
     """
+    from repro.modem.energy_budget import ModemEnergyBudget
+    from repro.network.mac import CsmaMac
+    from repro.network.routing import RoutedForwarding, TtlFlooding
+    from repro.network.simulator import NetworkSimulator
+    from repro.network.topology import LinearMobility, grid_deployment, random_deployment
+    from repro.network.traffic import PeriodicTraffic
+
     topology = str(params.get("topology", "grid"))
     num_nodes = int(params["num_nodes"])
     area_side_m = float(params["area_side_m"])

@@ -16,25 +16,7 @@ datapaths in software:
   error) used by the bit-width ablation (experiment E6).
 """
 
-from repro.fixedpoint.fmt import FixedPointFormat
-from repro.fixedpoint.quantize import (
-    quantize,
-    quantize_batch,
-    quantize_to_format,
-    quantize_to_format_batch,
-    raw_values,
-    raw_values_batch,
-    OverflowMode,
-    RoundingMode,
-)
-from repro.fixedpoint.array import FixedPointArray
-from repro.fixedpoint.metrics import (
-    quantization_noise_power,
-    signal_to_quantization_noise_ratio,
-    max_abs_error,
-    dynamic_range_scale,
-    dynamic_range_scale_batch,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FixedPointFormat",
@@ -53,3 +35,16 @@ __all__ = [
     "dynamic_range_scale",
     "dynamic_range_scale_batch",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "fmt": ("FixedPointFormat",),
+    "quantize": (
+        "quantize", "quantize_batch", "quantize_to_format", "quantize_to_format_batch",
+        "raw_values", "raw_values_batch", "OverflowMode", "RoundingMode",
+    ),
+    "array": ("FixedPointArray",),
+    "metrics": (
+        "quantization_noise_power", "signal_to_quantization_noise_ratio", "max_abs_error",
+        "dynamic_range_scale", "dynamic_range_scale_batch",
+    ),
+})

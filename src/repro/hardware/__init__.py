@@ -22,21 +22,7 @@ timer.  None of those tools are available here, so this subpackage provides
 * :mod:`repro.hardware.comparison` — the Table 3 platform comparison.
 """
 
-from repro.hardware.devices import FPGADevice, VIRTEX4_XC4VSX55, SPARTAN3_XC3S5000, DEVICE_LIBRARY, get_device
-from repro.hardware.area import AreaEstimate, estimate_area, is_feasible
-from repro.hardware.timing import TimingEstimate, max_clock_frequency, estimate_timing
-from repro.hardware.power import PowerEstimate, estimate_power
-from repro.hardware.energy import EnergyEstimate, estimate_energy, duty_cycled_average_power
-from repro.hardware.fpga import FPGAImplementation
-from repro.hardware.opcounts import OperationCounts, matching_pursuit_operation_counts
-from repro.hardware.processors import ProcessorModel, ProcessorImplementation, ti_c6713, microblaze_soft_core
-from repro.hardware.comparison import PlatformComparison, PlatformResult, compare_platforms
-from repro.hardware.reconfiguration import (
-    ReconfigurationModel,
-    amortized_energy_per_estimation,
-    break_even_estimations,
-)
-from repro.hardware.asic import ASICModel, ASICImplementation, cost_crossover_volume
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FPGADevice",
@@ -72,3 +58,21 @@ __all__ = [
     "ASICImplementation",
     "cost_crossover_volume",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "devices": (
+        "FPGADevice", "VIRTEX4_XC4VSX55", "SPARTAN3_XC3S5000", "DEVICE_LIBRARY", "get_device",
+    ),
+    "area": ("AreaEstimate", "estimate_area", "is_feasible"),
+    "timing": ("TimingEstimate", "max_clock_frequency", "estimate_timing"),
+    "power": ("PowerEstimate", "estimate_power"),
+    "energy": ("EnergyEstimate", "estimate_energy", "duty_cycled_average_power"),
+    "fpga": ("FPGAImplementation",),
+    "opcounts": ("OperationCounts", "matching_pursuit_operation_counts"),
+    "processors": ("ProcessorModel", "ProcessorImplementation", "ti_c6713", "microblaze_soft_core"),
+    "comparison": ("PlatformComparison", "PlatformResult", "compare_platforms"),
+    "reconfiguration": (
+        "ReconfigurationModel", "amortized_energy_per_estimation", "break_even_estimations",
+    ),
+    "asic": ("ASICModel", "ASICImplementation", "cost_crossover_volume"),
+})

@@ -16,14 +16,7 @@ input sizes (Table 1):
   sensor-network lifetime experiment E9).
 """
 
-from repro.modem.config import AquaModemConfig
-from repro.modem.frame import bits_to_symbols, symbols_to_bits, random_bits
-from repro.modem.transmitter import Transmitter
-from repro.modem.receiver import BatchReceiverOutput, Receiver, ReceiverOutput
-from repro.modem.link import LinkSimulator, LinkResult, symbol_error_rate_curve
-from repro.modem.batch import BatchLinkEngine
-from repro.modem.energy_budget import ModemEnergyBudget, PacketEnergyBreakdown
-from repro.modem.synchronization import FrameSynchronizer, SynchronizationResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AquaModemConfig",
@@ -43,3 +36,14 @@ __all__ = [
     "FrameSynchronizer",
     "SynchronizationResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("AquaModemConfig",),
+    "frame": ("bits_to_symbols", "symbols_to_bits", "random_bits"),
+    "transmitter": ("Transmitter",),
+    "receiver": ("BatchReceiverOutput", "Receiver", "ReceiverOutput"),
+    "link": ("LinkSimulator", "LinkResult", "symbol_error_rate_curve"),
+    "batch": ("BatchLinkEngine",),
+    "energy_budget": ("ModemEnergyBudget", "PacketEnergyBreakdown"),
+    "synchronization": ("FrameSynchronizer", "SynchronizationResult"),
+})

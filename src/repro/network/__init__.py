@@ -24,27 +24,7 @@ numbers of :mod:`repro.hardware` into deployment lifetimes (experiment E9):
   cross-check of the simulator).
 """
 
-from repro.network.batch import BatchNetworkEngine, generate_report_schedule
-from repro.network.events import Event, EventQueue, Scheduler
-from repro.network.node import Battery, SensorNode, NodeEnergyReport
-from repro.network.topology import (
-    Deployment,
-    LinearMobility,
-    grid_deployment,
-    random_deployment,
-    connectivity_graph,
-)
-from repro.network.routing import (
-    RoutedForwarding,
-    RoutingTable,
-    TtlFlooding,
-    flood_packet,
-    shortest_path_routing,
-)
-from repro.network.mac import TDMASchedule, SlottedAloha, CsmaMac
-from repro.network.traffic import PeriodicTraffic
-from repro.network.simulator import NetworkSimulator, NetworkSimulationResult
-from repro.network.lifetime import analytical_node_lifetime, lifetime_by_platform, subtree_sizes
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchNetworkEngine",
@@ -75,3 +55,20 @@ __all__ = [
     "analytical_node_lifetime",
     "lifetime_by_platform",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "batch": ("BatchNetworkEngine", "generate_report_schedule"),
+    "events": ("Event", "EventQueue", "Scheduler"),
+    "node": ("Battery", "SensorNode", "NodeEnergyReport"),
+    "topology": (
+        "Deployment", "LinearMobility", "grid_deployment", "random_deployment",
+        "connectivity_graph",
+    ),
+    "routing": (
+        "RoutedForwarding", "RoutingTable", "TtlFlooding", "flood_packet", "shortest_path_routing",
+    ),
+    "mac": ("TDMASchedule", "SlottedAloha", "CsmaMac"),
+    "traffic": ("PeriodicTraffic",),
+    "simulator": ("NetworkSimulator", "NetworkSimulationResult"),
+    "lifetime": ("analytical_node_lifetime", "lifetime_by_platform", "subtree_sizes"),
+})

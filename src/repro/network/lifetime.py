@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.modem.energy_budget import ModemEnergyBudget
@@ -62,10 +61,6 @@ def subtree_sizes(routing: RoutingTable) -> dict[int, int]:
     interval a node transmits ``subtree_size`` packets and receives
     ``subtree_size - 1``.
     """
-    tree = nx.DiGraph()
-    for node, hop in routing.next_hop.items():
-        if node != routing.sink_id:
-            tree.add_edge(node, hop)
     sizes: dict[int, int] = {}
     for node in routing.next_hop:
         if node == routing.sink_id:
@@ -74,10 +69,6 @@ def subtree_sizes(routing: RoutingTable) -> dict[int, int]:
         for carrier in routing.route(node)[:-1]:
             sizes[carrier] = sizes.get(carrier, 0) + 1
     return sizes
-
-
-#: Backwards-compatible alias (pre-PR-3 private name).
-_subtree_sizes = subtree_sizes
 
 
 def analytical_node_lifetime(

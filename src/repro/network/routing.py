@@ -23,11 +23,12 @@ engine reproduces the identical outcome vectorised over whole event chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable
 
 from repro.utils.validation import check_integer
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "RoutingTable",
@@ -153,6 +154,8 @@ def shortest_path_routing(
     ``allow_partial=True`` nodes with no path to the sink are left out of the
     table (mobile topologies partition routinely) instead of raising.
     """
+    import networkx as nx
+
     if sink_id not in graph:
         raise ValueError(f"sink id {sink_id} is not a node of the graph")
     paths = nx.shortest_path(graph, target=sink_id, weight="weight")

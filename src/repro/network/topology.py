@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.rng import as_rng, counter_uniforms
 from repro.utils.validation import check_integer, check_positive
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "Deployment",
@@ -200,6 +203,8 @@ def connectivity_graph(
         If ``require_connected`` and the graph leaves any node disconnected
         from the sink — an unusable deployment for a data-collection network.
     """
+    import networkx as nx
+
     check_positive("communication_range_m", communication_range_m)
     graph = nx.Graph()
     graph.add_nodes_from(deployment.positions)

@@ -28,10 +28,7 @@ validation), :mod:`~repro.service.jobs` (job model + queue + singleflight),
 (urllib client used by ``repro submit`` and the tests).
 """
 
-from repro.service.app import make_server, serve
-from repro.service.client import ServiceError, SweepServiceClient
-from repro.service.jobs import Job, JobOptions, JobQueue, JobState
-from repro.service.schemas import SchemaError, parse_submit_request
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Job",
@@ -45,3 +42,10 @@ __all__ = [
     "parse_submit_request",
     "serve",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "app": ("make_server", "serve"),
+    "client": ("ServiceError", "SweepServiceClient"),
+    "jobs": ("Job", "JobOptions", "JobQueue", "JobState"),
+    "schemas": ("SchemaError", "parse_submit_request"),
+})

@@ -13,7 +13,8 @@ Endpoints (all JSON, versioned under ``/api/v1``)::
     GET  /api/v1/jobs/<id>/stats     SweepStats of a done job (409 until done)
     GET  /api/v1/jobs/<id>/manifest  the manifest.json written with the results
     GET  /api/v1/runs                warehouse runs (``?scenario=``/``?source=``
-                                     filters); 404 when the warehouse is off
+                                     filters; every done job included); 404
+                                     when the warehouse is off
 
 Error mapping: schema violations and unknown scenarios are 400, unknown
 paths/jobs 404, wrong methods 405, results requested before completion 409,
@@ -46,6 +47,9 @@ _REQUESTS = counter("service.requests")
 _ERRORS = counter("service.request_errors")
 
 API_PREFIX = "/api/v1"
+
+#: How long ``GET /api/v1/runs`` waits for in-flight warehouse ingests.
+_INGEST_WAIT_S = 30.0
 
 
 class _ApiError(Exception):
@@ -236,6 +240,11 @@ class SweepServiceHandler(BaseHTTPRequestHandler):
                 404, "the warehouse is disabled on this server (started with --no-warehouse)"
             )
         query = parse_qs(self.path.partition("?")[2])
+        # a job is DONE before it is ingested: let in-flight ingests land so
+        # every job a client has seen done is in the answer
+        if not self.queue.wait_ingested(timeout_s=_INGEST_WAIT_S):
+            logger.warning("runs: ingest still pending after %.0f s; answering without it",
+                           _INGEST_WAIT_S)
 
         def single(name: str) -> str | None:
             values = query.get(name)

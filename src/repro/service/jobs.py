@@ -27,7 +27,10 @@ The :class:`JobQueue` multiplexes jobs over a bounded
 
 Thread-safety: all lifecycle transitions and index mutations happen under one
 queue lock; the hot per-trial path (the progress callback) only *assigns* the
-job's ``progress`` attribute, which is atomic under the GIL.
+job's ``progress`` attribute, which is atomic under the GIL.  A job turns
+``done`` before its warehouse ingest runs, so pollers see it without waiting
+for the index; the queue counts the done-but-not-ingested jobs under the same
+lock, and :meth:`JobQueue.wait_ingested` lets warehouse readers wait them out.
 """
 
 from __future__ import annotations
@@ -148,6 +151,9 @@ class JobQueue:
             max_workers=max_workers, thread_name_prefix="sweep-job"
         )
         self._lock = threading.Lock()
+        #: notified whenever a done job's warehouse ingest finishes
+        self._ingested = threading.Condition(self._lock)
+        self._ingest_pending = 0
         self._jobs: dict[str, Job] = {}
         #: spec key -> job id of the queued/running/done job for that spec.
         self._singleflight: dict[str, str] = {}
@@ -240,9 +246,15 @@ class JobQueue:
                 job.artifacts = {name: str(path) for name, path in written.items()}
                 job.state = JobState.DONE
                 job.finished_s = time.time()
-            _COMPLETED.inc()
-            logger.info("job %s: done (%d records)", job.job_id, len(result.records))
-            self._ingest(job)
+                self._ingest_pending += 1
+            try:
+                _COMPLETED.inc()
+                logger.info("job %s: done (%d records)", job.job_id, len(result.records))
+                self._ingest(job)
+            finally:
+                with self._ingested:
+                    self._ingest_pending -= 1
+                    self._ingested.notify_all()
         except BaseException as error:  # a failed job must never kill its worker thread
             with self._lock:
                 job.state = JobState.FAILED
@@ -255,6 +267,18 @@ class JobQueue:
             logger.exception("job %s: failed", job.job_id)
         finally:
             _RUNNING.set(_RUNNING.value - 1)
+
+    def wait_ingested(self, timeout_s: float | None = None) -> bool:
+        """Block until every done job's warehouse ingest has finished.
+
+        Returns ``False`` if ``timeout_s`` passed first.  Jobs finishing
+        while this waits extend the wait; a reader that needs a done job in
+        the warehouse calls this before reading.
+        """
+        with self._ingested:
+            return self._ingested.wait_for(
+                lambda: self._ingest_pending == 0, timeout=timeout_s
+            )
 
     def _ingest(self, job: Job) -> None:
         """Index a finished job into the warehouse (best effort).

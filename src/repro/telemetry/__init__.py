@@ -28,36 +28,7 @@ Quick start::
     write_trace("trace.jsonl", tracer.records)   # inspect: repro trace trace.jsonl
 """
 
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    counter,
-    flatten_snapshot,
-    gauge,
-    histogram,
-    registry,
-    snapshot_delta,
-)
-from repro.telemetry.progress import (
-    ProgressEvent,
-    ProgressReporter,
-    progress_printer,
-    render_progress,
-)
-from repro.telemetry.tracing import (
-    SpanRecord,
-    Tracer,
-    current_tracer,
-    read_trace,
-    span,
-    start_trace,
-    tracing_active,
-    validate_trace,
-    worker_trace,
-    write_trace,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SpanRecord",
@@ -85,3 +56,15 @@ __all__ = [
     "render_progress",
     "progress_printer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "counter", "flatten_snapshot", "gauge",
+        "histogram", "registry", "snapshot_delta",
+    ),
+    "progress": ("ProgressEvent", "ProgressReporter", "progress_printer", "render_progress"),
+    "tracing": (
+        "SpanRecord", "Tracer", "current_tracer", "read_trace", "span", "start_trace",
+        "tracing_active", "validate_trace", "worker_trace", "write_trace",
+    ),
+})

@@ -20,11 +20,7 @@ of hashes into a dataset:
   service (auto-ingest + ``GET /api/v1/runs``) are built on.
 """
 
-from repro.warehouse.compare import ComparisonReport, MetricDiff, compare_runs, render_comparison
-from repro.warehouse.db import DEFAULT_WAREHOUSE_PATH, Warehouse
-from repro.warehouse.ingest import IngestReport, discover, ingest_path
-from repro.warehouse.query import ParamFilter, RunInfo, TrialRow, parse_filter
-from repro.warehouse.schema import SCHEMA_VERSION, SchemaVersionError
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Warehouse",
@@ -43,3 +39,11 @@ __all__ = [
     "SCHEMA_VERSION",
     "SchemaVersionError",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "compare": ("ComparisonReport", "MetricDiff", "compare_runs", "render_comparison"),
+    "db": ("DEFAULT_WAREHOUSE_PATH", "Warehouse"),
+    "ingest": ("IngestReport", "discover", "ingest_path"),
+    "query": ("ParamFilter", "RunInfo", "TrialRow", "parse_filter"),
+    "schema": ("SCHEMA_VERSION", "SchemaVersionError"),
+})

@@ -85,6 +85,48 @@ class TestMain:
         err = capsys.readouterr().err
         assert "--grid" in err and "at least 2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--snr-db", "nan"],
+        ["bitwidth", "--snr-db", "inf"],
+        ["ipcore", "--snr-db=-inf"],
+        ["ser", "--snr-db", "nan"],
+        ["ser", "--snr-db=-3,nan,3"],
+        ["ser", "--snr-db", "0,inf"],
+    ])
+    def test_non_finite_snr_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--snr-db" in err and "finite" in err and "Traceback" not in err
+
+    def test_ser_snr_list_rejects_a_non_number(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ser", "--snr-db", "1,x"])
+        assert excinfo.value.code == 2
+        assert "invalid float value: 'x'" in capsys.readouterr().err
+
+    def test_ser_snr_list_parses_every_point(self):
+        args = build_parser().parse_args(["ser", "--snr-db=-12,-9.5,0"])
+        assert args.snr_db == (-12.0, -9.5, 0.0)
+        assert build_parser().parse_args(["ser"]).snr_db == (-9.0, -6.0, -3.0, 0.0, 3.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "platform-energy", "--jobs", "0"],
+        ["sweep", "platform-energy", "--jobs", "-1"],
+        ["bitwidth", "--jobs", "0"],
+        ["lifetime", "--jobs", "-1"],
+        ["submit", "platform-energy", "--jobs", "0"],
+        ["serve", "--max-workers", "0"],
+        ["serve", "--max-workers", "-2"],
+    ])
+    def test_worker_count_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be at least 1" in err and "Traceback" not in err
+
     def test_lifetime_trials_jobs_prints_identical_table(self, capsys):
         argv = ["lifetime", "--trials", "2", "--grid", "3", "--battery-kj", "1"]
         assert main(argv) == 0

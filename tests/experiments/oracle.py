@@ -26,8 +26,9 @@ def scalar_oracles(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setattr(LinkSimulator, "run_dsss", LinkSimulator.run_dsss_perframe)
     monkeypatch.setattr(LinkSimulator, "run_fsk", LinkSimulator.run_fsk_perframe)
     monkeypatch.setattr(NetworkSimulator, "run", NetworkSimulator.run_event_loop)
+    # the registry imports it at call time, so the module attribute is the seam
     monkeypatch.setattr(
-        "repro.experiments.registry.lifetime_by_platform", lifetime_by_platform_per_node
+        "repro.network.lifetime.lifetime_by_platform", lifetime_by_platform_per_node
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -60,6 +61,58 @@ class TestAutoIngest:
         assert run["num_trials"] == job.spec.num_trials
         # and the same warehouse answers directly, off-HTTP
         assert len(warehouse.runs(source="service")) == 1
+
+    def test_runs_endpoint_waits_for_an_ingest_still_in_flight(self, service):
+        base, queue, warehouse = service
+        release = threading.Event()
+        ingest = warehouse.ingest
+
+        def slow_ingest(*args, **kwargs):
+            release.wait(10)
+            return ingest(*args, **kwargs)
+
+        warehouse.ingest = slow_ingest
+        job, _ = queue.submit(get_scenario("platform-energy").spec)
+        _wait_done(job)  # DONE, but its ingest is held back
+        answer: list = []
+        reader = threading.Thread(
+            target=lambda: answer.append(_get(f"{base}/api/v1/runs?scenario=platform-energy"))
+        )
+        reader.start()
+        reader.join(timeout=0.3)
+        assert reader.is_alive() and not answer  # waiting, not answering without the job
+        release.set()
+        reader.join(timeout=10)
+        assert answer and answer[0]["count"] == 1
+
+    def test_wait_ingested_times_out_while_an_ingest_is_stuck(self, service):
+        _, queue, warehouse = service
+        release = threading.Event()
+        ingest = warehouse.ingest
+        warehouse.ingest = lambda *args, **kwargs: (release.wait(10), ingest(*args, **kwargs))[1]
+        job, _ = queue.submit(get_scenario("platform-energy").spec)
+        _wait_done(job)
+        assert queue.wait_ingested(timeout_s=0.05) is False
+        release.set()
+        assert queue.wait_ingested(timeout_s=10) is True
+
+    def test_every_done_job_is_ingested_under_contention(self, tmp_path):
+        """Many workers finishing at once: no ingest count update is lost."""
+        warehouse = Warehouse(tmp_path / "data" / "warehouse.sqlite")
+        queue = JobQueue(tmp_path / "data", max_workers=4, warehouse=warehouse)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            spec = get_scenario("platform-energy").spec
+            jobs = [queue.submit(spec.with_seed(base_seed=seed))[0] for seed in range(8)]
+            for job in jobs:
+                _wait_done(job)
+            assert queue.wait_ingested(timeout_s=30) is True
+        finally:
+            sys.setswitchinterval(interval)
+            queue.shutdown(wait=True)
+        assert all(job.state == "done" for job in jobs)
+        assert len(warehouse.runs(source="service")) == len(jobs)
 
     def test_scenario_filter_excludes_other_scenarios(self, service):
         base, queue, _ = service
