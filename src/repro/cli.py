@@ -722,14 +722,7 @@ def _adaptive_config(args: argparse.Namespace):
 
 
 def _run_sweep(args: argparse.Namespace) -> str:
-    from repro.experiments import (
-        ResultCache,
-        ResultStore,
-        SegmentedResultStore,
-        run_adaptive_sweep,
-        run_fingerprint,
-        run_sweep,
-    )
+    from repro.experiments import ResultCache, ResultStore, run_sweep
     from repro.experiments.store import tidy_headers
     from repro.telemetry import progress_printer, start_trace, write_trace
 
@@ -742,6 +735,13 @@ def _run_sweep(args: argparse.Namespace) -> str:
 
     def _execute():
         if args.adaptive:
+            # the adaptive machinery (and its interval maths) loads only here
+            from repro.experiments import (
+                SegmentedResultStore,
+                run_adaptive_sweep,
+                run_fingerprint,
+            )
+
             config = _adaptive_config(args)
             try:
                 # the fingerprint refuses an output dir whose leftover
@@ -751,39 +751,36 @@ def _run_sweep(args: argparse.Namespace) -> str:
                     adaptive=config.to_dict(),
                     scenario={"name": scenario.name, "version": scenario.version},
                 ))
-                return run_adaptive_sweep(
+                result = run_adaptive_sweep(
                     spec, config, jobs=args.jobs, cache=cache,
                     progress=progress, progress_interval_s=args.progress_interval,
                     store=store,
-                ), store
+                )
             except ValueError as error:
                 raise SystemExit(f"error: {error}") from None
-        return run_sweep(
+            # merged artefacts are byte-compatible with a ResultStore.write of
+            # the same records, and the segments stay behind for resume/audit
+            written = store.merge(spec=spec.to_dict(), stats=result.stats_payload())
+            return result, store, written
+        result = run_sweep(
             spec, jobs=args.jobs, cache=cache,
             progress=progress, progress_interval_s=args.progress_interval,
-        ), None
+        )
+        written = ResultStore(output_dir).write(
+            result.records, spec=spec.to_dict(), stats=result.stats.to_dict()
+        )
+        return result, None, written
 
     if args.trace:
+        # the artefact write runs inside the trace, so it gets its own span
         with start_trace() as tracer:
-            result, store = _execute()
-            trace_records = tracer.records
-    else:
-        result, store = _execute()
-        trace_records = None
-    stats = result.stats
-
-    if store is not None:
-        # merged artefacts are byte-compatible with a ResultStore.write of
-        # the same records, and the segments stay behind for resume/audit
-        written = store.merge(spec=spec.to_dict(), stats=result.stats_payload())
-    else:
-        written = ResultStore(output_dir).write(
-            result.records, spec=spec.to_dict(), stats=stats.to_dict()
-        )
-    if trace_records is not None:
+            result, store, written = _execute()
         written["trace"] = str(write_trace(
-            os.path.join(output_dir, "trace.jsonl"), trace_records
+            os.path.join(output_dir, "trace.jsonl"), tracer.records
         ))
+    else:
+        result, store, written = _execute()
+    stats = result.stats
 
     headers = tidy_headers(result.records)
     preview_limit = 12

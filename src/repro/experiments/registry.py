@@ -33,16 +33,15 @@ import functools
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-import numpy as np
-
 from repro.experiments.spec import SeedPolicy, SweepSpec
 from repro.modem.config import AquaModemConfig
 from repro.telemetry.metrics import counter, histogram
 from repro.telemetry.tracing import span
 
 # Registration needs only the names above.  Every engine, channel, hardware
-# and network import sits in the function that uses it, so listing the
-# scenarios or running one of them loads only that scenario's layers.
+# and network import — numpy included — sits in the function that uses it,
+# so listing the scenarios or running one of them loads only that
+# scenario's layers, and a fully cached sweep loads no numpy at all.
 if TYPE_CHECKING:
     from repro.core.fixedpoint_mp import FixedPointMatchingPursuit
     from repro.core.ipcore import BatchIPCoreEngine
@@ -302,6 +301,8 @@ def fixedpoint_trial_metrics(channel, true_f, reference, estimate) -> dict[str, 
     evaluate the identical float expressions on identical coefficient arrays
     — which is what lets their records be compared with ``==``.
     """
+    import numpy as np
+
     from repro.core.metrics import normalized_channel_error, support_recovery_rate
 
     vs_float = (
@@ -382,6 +383,8 @@ def _grouped_problems(points, group_key):
     paired seeds promise survives batches larger than the memoisation
     windows of the builders.
     """
+    import numpy as np
+
     groups: dict[Any, list[int]] = {}
     for row, (params, _) in enumerate(points):
         groups.setdefault(group_key(params), []).append(row)
@@ -506,6 +509,8 @@ def _platform_energy_trial(params: Mapping[str, Any], seed: int) -> dict[str, An
 
 def _mp_refinement_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
     """Greedy vs LS-refined MP estimation quality at one Nf on one channel."""
+    import numpy as np
+
     from repro.core.metrics import normalized_channel_error, support_recovery_rate
     from repro.core.refinement import refine_least_squares
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -56,6 +55,8 @@ from repro.telemetry.progress import ProgressEvent, ProgressReporter
 from repro.telemetry.tracing import SpanRecord, current_tracer, span, worker_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    import multiprocessing.context
+
     from repro.experiments.segments import SegmentedResultStore
 
 __all__ = [
@@ -423,6 +424,9 @@ def execute_trials(
             if serial:
                 _collect(map(_execute_chunk, chunks))
             else:
+                # the pool machinery loads only when a sweep needs workers
+                import multiprocessing
+
                 ctx = (
                     mp_context if mp_context is not None
                     else multiprocessing.get_context()

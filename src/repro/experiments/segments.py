@@ -38,6 +38,7 @@ from typing import Any, Iterable, Iterator, Mapping
 from repro.analysis.export import write_csv
 from repro.experiments.store import iter_jsonl, tidy_headers
 from repro.telemetry.metrics import counter
+from repro.telemetry.tracing import span
 from repro.utils.atomic import atomic_writer
 
 __all__ = [
@@ -251,30 +252,31 @@ class SegmentedResultStore:
         :class:`~repro.experiments.store.ResultStore` output — warehouse
         ingest, ``repro compare`` and the plots consume it unchanged.
         """
-        out = self.output_dir
-        written: dict[str, Path] = {}
-        keys: set[str] = set()
+        with span("store.merge"):
+            out = self.output_dir
+            written: dict[str, Path] = {}
+            keys: set[str] = set()
 
-        def _write_jsonl(handle: Any) -> None:
-            for record in self.iter_records():
-                keys.update(record)
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            def _write_jsonl(handle: Any) -> None:
+                for record in self.iter_records():
+                    keys.update(record)
+                    handle.write(json.dumps(record, sort_keys=True) + "\n")
 
-        jsonl_path = out / f"{basename}.jsonl"
-        written["jsonl"] = atomic_writer(jsonl_path, _write_jsonl)
-        headers = tidy_headers([dict.fromkeys(keys)]) if keys else []
-        written["csv"] = write_csv(
-            out / f"{basename}.csv",
-            headers,
-            (
-                [record.get(column, "") for column in headers]
-                for record in iter_jsonl(jsonl_path)
-            ),
-        )
-        if spec is not None or stats is not None:
-            manifest = {"spec": dict(spec or {}), "stats": dict(stats or {})}
-            written["manifest"] = atomic_writer(
-                out / "manifest.json",
-                lambda handle: json.dump(manifest, handle, indent=2, sort_keys=True),
+            jsonl_path = out / f"{basename}.jsonl"
+            written["jsonl"] = atomic_writer(jsonl_path, _write_jsonl)
+            headers = tidy_headers([dict.fromkeys(keys)]) if keys else []
+            written["csv"] = write_csv(
+                out / f"{basename}.csv",
+                headers,
+                (
+                    [record.get(column, "") for column in headers]
+                    for record in iter_jsonl(jsonl_path)
+                ),
             )
+            if spec is not None or stats is not None:
+                manifest = {"spec": dict(spec or {}), "stats": dict(stats or {})}
+                written["manifest"] = atomic_writer(
+                    out / "manifest.json",
+                    lambda handle: json.dump(manifest, handle, indent=2, sort_keys=True),
+                )
         return written

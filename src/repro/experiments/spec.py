@@ -19,13 +19,12 @@ Two kinds of axes are supported:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Mapping, Sequence
-
-import numpy as np
 
 __all__ = ["SeedPolicy", "SweepSpec", "TrialPoint", "canonical_json", "stable_hash"]
 
@@ -66,6 +65,72 @@ def stable_hash(value: Any, *, length: int = 16) -> str:
     return digest[:length]
 
 
+# NumPy's SeedSequence constants (numpy/random/bit_generator.pyx): a 4-word
+# uint32 pool, hashmix/mix multipliers, and the xorshift of half a word.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+
+@functools.lru_cache(maxsize=4096)
+def seed_sequence_uint64(entropy: tuple[int, ...]) -> int:
+    """``SeedSequence(entropy).generate_state(1, numpy.uint64)[0]`` in pure Python.
+
+    A port of NumPy's documented algorithm for a tuple of non-negative ints
+    (no spawn key), so seed derivation needs no numpy: each int is split
+    into little-endian uint32 words, the words are hash-mixed into a 4-word
+    pool, and two output words are drawn from the pool and joined low word
+    first.  Memoised on ``entropy``: with the default paired seed policy a
+    whole sweep shares a handful of entropies.
+    """
+    words: list[int] = []
+    for value in entropy:
+        if value < 0:
+            raise ValueError(f"entropy must be non-negative, got {value}")
+        words.append(value & _MASK32)
+        value >>= 32
+        while value:
+            words.append(value & _MASK32)
+            value >>= 32
+
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state_const = _INIT_B
+    state: list[int] = []
+    for data in pool[:2]:
+        data ^= state_const
+        state_const = (state_const * _MULT_B) & _MASK32
+        data = (data * state_const) & _MASK32
+        state.append(data ^ (data >> _XSHIFT))
+    return state[0] | state[1] << 32
+
+
 #: ``stable_hash({})`` — the ``vary_with`` contribution of the common
 #: fully-paired policy, precomputed so per-trial seed derivation skips the
 #: JSON/sha round trip (the derived seeds are unchanged).
@@ -104,7 +169,8 @@ class SeedPolicy:
     def trial_seed(self, replicate: int, params: Mapping[str, ParamValue]) -> int:
         """Deterministic 63-bit seed for one trial.
 
-        Derived through :class:`numpy.random.SeedSequence` from
+        Derived through NumPy's ``SeedSequence`` algorithm
+        (:func:`seed_sequence_uint64`) from
         ``(base_seed, replicate)`` plus a stable hash of the ``vary_with``
         axis values, so it depends only on the policy — never on expansion
         order, process boundaries or ``PYTHONHASHSEED``.
@@ -120,8 +186,7 @@ class SeedPolicy:
             int(replicate),
             varied_hash,
         )
-        seed_sequence = np.random.SeedSequence(entropy=entropy)
-        return int(seed_sequence.generate_state(1, np.uint64)[0]) % (2**63 - 1)
+        return seed_sequence_uint64(entropy) % (2**63 - 1)
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.export import write_csv
+from repro.telemetry.tracing import span
 from repro.utils.atomic import atomic_writer
 
 __all__ = ["ResultStore", "write_jsonl", "read_jsonl", "iter_jsonl", "tidy_headers"]
@@ -102,19 +103,20 @@ class ResultStore:
         # consumed by the JSONL writer, leaving the header scan and the CSV
         # writer an empty stream — JSONL full, CSV silently empty
         records = [record for record in records]
-        out = Path(self.output_dir)
-        written: dict[str, Path] = {}
-        written["jsonl"] = write_jsonl(out / f"{basename}.jsonl", records)
-        headers = tidy_headers(records)
-        written["csv"] = write_csv(
-            out / f"{basename}.csv",
-            headers,
-            ([record.get(column, "") for column in headers] for record in records),
-        )
-        if spec is not None or stats is not None:
-            manifest = {"spec": dict(spec or {}), "stats": dict(stats or {})}
-            written["manifest"] = atomic_writer(
-                out / "manifest.json",
-                lambda handle: json.dump(manifest, handle, indent=2, sort_keys=True),
+        with span("store.write", records=len(records)):
+            out = Path(self.output_dir)
+            written: dict[str, Path] = {}
+            written["jsonl"] = write_jsonl(out / f"{basename}.jsonl", records)
+            headers = tidy_headers(records)
+            written["csv"] = write_csv(
+                out / f"{basename}.csv",
+                headers,
+                ([record.get(column, "") for column in headers] for record in records),
             )
+            if spec is not None or stats is not None:
+                manifest = {"spec": dict(spec or {}), "stats": dict(stats or {})}
+                written["manifest"] = atomic_writer(
+                    out / "manifest.json",
+                    lambda handle: json.dump(manifest, handle, indent=2, sort_keys=True),
+                )
         return written

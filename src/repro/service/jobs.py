@@ -40,6 +40,7 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -225,21 +226,17 @@ class JobQueue:
             job.started_s = time.time()
         _RUNNING.set(_RUNNING.value + 1)
         try:
-            if job.options.trace:
-                with start_trace() as tracer:
-                    result = self._run_sweep(job)
-                    trace_records = tracer.records
-            else:
+            # the artefact write runs inside the trace, so it gets its own span
+            with start_trace() if job.options.trace else nullcontext() as tracer:
                 result = self._run_sweep(job)
-                trace_records = None
-            written = ResultStore(job.output_dir).write(
-                result.records,
-                spec=job.spec.to_dict(),
-                stats=_stats_payload(result),
-            )
-            if trace_records is not None:
+                written = ResultStore(job.output_dir).write(
+                    result.records,
+                    spec=job.spec.to_dict(),
+                    stats=_stats_payload(result),
+                )
+            if tracer is not None:
                 written["trace"] = write_trace(
-                    job.output_dir / "trace.jsonl", trace_records
+                    job.output_dir / "trace.jsonl", tracer.records
                 )
             with self._lock:
                 job.result = result

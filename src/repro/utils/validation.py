@@ -9,9 +9,15 @@ the offending parameter name and value.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+import math
+import sys
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-import numpy as np
+# numpy is imported only where arrays are built: the scalar checks below run
+# on every control path (spec resolution, cache hits), which must not pay
+# for loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "check_positive",
@@ -26,42 +32,62 @@ __all__ = [
 ]
 
 
+def _numpy_types(*names: str) -> tuple[type, ...]:
+    """The named numpy scalar types, or none if numpy is not loaded.
+
+    A numpy scalar cannot exist before numpy is imported, so checking only a
+    loaded numpy accepts exactly the values an eager import would.
+    """
+    numpy = sys.modules.get("numpy")
+    return tuple(getattr(numpy, name) for name in names) if numpy is not None else ()
+
+
 def _is_real_number(value: Any) -> bool:
     """Return True for Python/NumPy real scalars (bools excluded)."""
-    if isinstance(value, bool) or isinstance(value, np.bool_):
+    if isinstance(value, bool):
         return False
-    return isinstance(value, (int, float, np.integer, np.floating))
+    return isinstance(value, (int, float, *_numpy_types("integer", "floating")))
+
+
+def _real(name: str, value: Any) -> float:
+    """``value`` as a float, or a ``TypeError``/``ValueError`` naming ``name``."""
+    if not _is_real_number(value):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        # only a Python int can outgrow a float; its repr may be too long to print
+        raise ValueError(
+            f"{name} must fit in a float, got a {value.bit_length()}-bit integer"
+        ) from None
 
 
 def check_positive(name: str, value: Any) -> float:
     """Validate that ``value`` is a real number strictly greater than zero."""
-    if not _is_real_number(value):
-        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    if not np.isfinite(value):
+    v = _real(name, value)
+    if not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if value <= 0:
+    if v <= 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
-    return float(value)
+    return v
 
 
 def check_non_negative(name: str, value: Any) -> float:
     """Validate that ``value`` is a real number greater than or equal to zero."""
-    if not _is_real_number(value):
-        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    if not np.isfinite(value):
+    v = _real(name, value)
+    if not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if value < 0:
+    if v < 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return float(value)
+    return v
 
 
 def check_probability(name: str, value: Any) -> float:
     """Validate that ``value`` lies in the closed interval [0, 1]."""
-    if not _is_real_number(value):
-        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    if not (0.0 <= float(value) <= 1.0):
+    v = _real(name, value)
+    if not (0.0 <= v <= 1.0):
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return float(value)
+    return v
 
 
 def check_in_range(
@@ -73,9 +99,7 @@ def check_in_range(
     inclusive: bool = True,
 ) -> float:
     """Validate that ``value`` lies within ``[lower, upper]`` (or open interval)."""
-    if not _is_real_number(value):
-        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    v = float(value)
+    v = _real(name, value)
     if inclusive:
         if lower is not None and v < lower:
             raise ValueError(f"{name} must be >= {lower}, got {value!r}")
@@ -96,9 +120,9 @@ def check_integer(
     maximum: int | None = None,
 ) -> int:
     """Validate that ``value`` is an integer (optionally within bounds)."""
-    if isinstance(value, bool) or isinstance(value, np.bool_):
+    if isinstance(value, (bool, *_numpy_types("bool_"))):
         raise TypeError(f"{name} must be an integer, got bool")
-    if not isinstance(value, (int, np.integer)):
+    if not isinstance(value, (int, *_numpy_types("integer"))):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     v = int(value)
     if minimum is not None and v < minimum:
@@ -132,6 +156,8 @@ def ensure_1d_array(
     length: int | None = None,
 ) -> np.ndarray:
     """Convert ``value`` to a contiguous 1-D ndarray and validate its length."""
+    import numpy as np
+
     arr = np.ascontiguousarray(value, dtype=dtype)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
@@ -151,6 +177,8 @@ def ensure_2d_array(
 
     ``shape`` entries set to ``None`` are not checked.
     """
+    import numpy as np
+
     arr = np.ascontiguousarray(value, dtype=dtype)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")

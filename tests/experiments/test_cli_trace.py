@@ -44,6 +44,25 @@ class TestSweepTraceFlag:
         capsys.readouterr()
         assert not (output / "trace.jsonl").exists()
 
+    def test_artifact_write_has_a_span(self, traced_sweep):
+        writes = [r for r in read_trace(traced_sweep / "trace.jsonl") if r.name == "store.write"]
+        assert len(writes) == 1
+        assert writes[0].parent_id is None
+        assert writes[0].attributes == {"records": 5}
+
+    def test_adaptive_merge_has_a_span(self, tmp_path, capsys):
+        output = tmp_path / "out"
+        assert main([
+            "sweep", "modem-ser-vs-snr", "--adaptive", "--ci-width", "0.2",
+            "--max-trials", "4", "--min-trials", "4", "--wave", "4",
+            "--no-cache", "--output", str(output), "--trace",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["trace", str(output / "trace.jsonl"), "--check"]) == 0
+        assert "trace check OK" in capsys.readouterr().out
+        names = [r.name for r in read_trace(output / "trace.jsonl")]
+        assert names.count("store.merge") == 1 and "store.write" not in names
+
     def test_manifest_metrics_folded_when_traced(self, traced_sweep):
         manifest = json.loads((traced_sweep / "manifest.json").read_text())
         metrics = manifest["stats"]["metrics"]

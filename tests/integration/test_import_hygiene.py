@@ -4,7 +4,10 @@ The checks run in fresh interpreters, since what a process has imported
 depends on everything imported before it.  scipy backs only
 :mod:`repro.dsp.passband` and networkx only the network layer's graphs, so
 a CLI start, ``repro scenarios`` and a hardware-only sweep load neither, and
-every registered scenario runs with scipy blocked outright.
+every registered scenario runs with scipy blocked outright.  numpy backs
+only the engines, so the control plane runs with numpy blocked outright:
+``repro scenarios``, the closed-form ``platform-energy`` sweep, a fully
+cached resume of every scenario, and the trace and warehouse commands.
 """
 
 from __future__ import annotations
@@ -30,14 +33,20 @@ PACKAGES = (
     "repro.telemetry", "repro.utils", "repro.warehouse",
 )
 
-#: Refuses every scipy import, as on a machine without scipy installed.
-BLOCK_SCIPY = '''
-class BlockScipy:
+
+def _block(package: str) -> str:
+    """Guard code refusing every ``package`` import, as on a machine without it."""
+    return f'''
+class Block:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-sys.meta_path.insert(0, BlockScipy())
+        if name.split(".")[0] == {package!r}:
+            raise ModuleNotFoundError(f"No module named {{name!r}}", name=name)
+sys.meta_path.insert(0, Block())
 '''
+
+
+BLOCK_SCIPY = _block("scipy")
+BLOCK_NUMPY = _block("numpy")
 
 #: ``repro <argv>`` in-process; writes which HEAVY modules it loaded to argv[1].
 RUN_CLI = '''
@@ -61,11 +70,13 @@ def _python(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
-def _repro(tmp_path: Path, *argv: str, block_scipy: bool = False) -> list[str]:
-    """Run ``repro argv`` in a fresh process; the HEAVY modules it loaded."""
+def _repro(tmp_path: Path, *argv: str, block: str = "") -> list[str]:
+    """Run ``repro argv`` in a fresh process, after the ``block`` guard code.
+
+    Returns the HEAVY modules the process loaded.
+    """
     loaded = tmp_path / "loaded.json"
-    code = RUN_CLI.format(block=BLOCK_SCIPY if block_scipy else "", heavy=HEAVY)
-    done = _python(code, str(loaded), *argv, cwd=tmp_path)
+    done = _python(RUN_CLI.format(block=block, heavy=HEAVY), str(loaded), *argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr[-2000:]
     return json.loads(loaded.read_text())
 
@@ -90,14 +101,45 @@ def test_command_loads_neither_scipy_nor_networkx(argv, tmp_path):
 
 
 def test_help_runs_without_scipy(tmp_path):
-    assert "scipy" not in _repro(tmp_path, "--help", block_scipy=True)
+    assert "scipy" not in _repro(tmp_path, "--help", block=BLOCK_SCIPY)
 
 
 @pytest.mark.parametrize("scenario", scenario_names())
 def test_default_sweep_runs_without_scipy(scenario, tmp_path):
-    loaded = _repro(tmp_path, "sweep", scenario, "--no-cache", block_scipy=True)
+    loaded = _repro(tmp_path, "sweep", scenario, "--no-cache", block=BLOCK_SCIPY)
     assert "scipy" not in loaded
     assert (tmp_path / "results" / "sweeps" / scenario / "results.jsonl").is_file()
+
+
+@pytest.mark.parametrize("scenario", scenario_names())
+def test_cached_resume_runs_without_numpy(scenario, tmp_path):
+    """A scipy-free miss fills the default cache; its 100%-hit resume needs no numpy."""
+    _repro(tmp_path, "sweep", scenario, block=BLOCK_SCIPY)
+    miss = tmp_path / "results" / "sweeps" / scenario
+    hit = tmp_path / "hit"
+    _repro(tmp_path, "sweep", scenario, "--output", str(hit), block=BLOCK_NUMPY)
+    assert (hit / "results.jsonl").read_bytes() == (miss / "results.jsonl").read_bytes()
+    stats = json.loads((hit / "manifest.json").read_text())["stats"]
+    assert stats["executed"] == 0 and stats["cache_hits"] == stats["num_trials"] > 0
+
+
+def test_scenario_list_runs_without_numpy(tmp_path):
+    _repro(tmp_path, "scenarios", block=BLOCK_NUMPY)
+
+
+def test_platform_energy_sweep_and_its_readers_run_without_numpy(tmp_path):
+    """The closed-form sweep, then trace, ingest, query and compare over it."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    db = str(tmp_path / "warehouse.sqlite")
+    for argv in (
+        ["sweep", "platform-energy", "--no-cache", "--trace", "--output", str(first)],
+        ["sweep", "platform-energy", "--no-cache", "--output", str(second)],
+        ["trace", str(first / "trace.jsonl"), "--check"],
+        ["ingest", str(first), str(second), "--db", db],
+        ["query", "--db", db, "--scenario", "platform-energy"],
+        ["compare", "1", "2", "--db", db, "--fail-on-regression"],
+    ):
+        _repro(tmp_path, *argv, block=BLOCK_NUMPY)
 
 
 def test_blocking_scipy_does_block_it(tmp_path):
@@ -105,6 +147,13 @@ def test_blocking_scipy_does_block_it(tmp_path):
     done = _python(f"import sys\n{BLOCK_SCIPY}\nimport repro.dsp.passband", cwd=tmp_path)
     assert done.returncode != 0
     assert "No module named 'scipy" in done.stderr
+
+
+def test_blocking_numpy_does_block_it(tmp_path):
+    """The guard the numpy-free runs rely on: an engine import really fails."""
+    done = _python(f"import sys\n{BLOCK_NUMPY}\nimport repro.utils.rng", cwd=tmp_path)
+    assert done.returncode != 0
+    assert "No module named 'numpy" in done.stderr
 
 
 def test_every_export_resolves_in_a_fresh_process(tmp_path):

@@ -86,6 +86,7 @@ class TestLifecycle:
         records = read_trace(job.artifacts["trace"])
         assert validate_trace(records) == []
         assert sum(1 for r in records if r.name == "trial") == spec.num_trials
+        assert [r.name for r in records if r.name == "store.write"] == ["store.write"]
 
 
 class TestSingleflight:

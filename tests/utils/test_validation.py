@@ -38,6 +38,8 @@ class TestCheckPositive:
             check_positive("x", "3")
         with pytest.raises(TypeError):
             check_positive("x", True)
+        with pytest.raises(TypeError, match="x must be a real number"):
+            check_positive("x", np.bool_(True))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -86,6 +88,25 @@ class TestCheckInRange:
             check_in_range("x", 1, upper=0)
 
 
+class TestLargeIntegers:
+    """Ints beyond float range get a ValueError that names the parameter."""
+
+    @pytest.mark.parametrize("check", [
+        check_positive, check_non_negative, check_probability, check_in_range,
+    ])
+    @pytest.mark.parametrize("value", [10**400, -(2**1100)], ids=["10**400", "-2**1100"])
+    def test_huge_int_is_a_named_value_error(self, check, value):
+        with pytest.raises(ValueError, match=r"^huge must fit in a float, got a \d+-bit integer"):
+            check("huge", value)
+
+    def test_large_int_within_float_range_still_checks_sign(self):
+        assert check_positive("x", 2**70) == float(2**70)
+        with pytest.raises(ValueError, match="x must be > 0"):
+            check_positive("x", -(2**70))
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            check_non_negative("x", -(2**70))
+
+
 class TestCheckInteger:
     def test_accepts_python_and_numpy_ints(self):
         assert check_integer("n", 7) == 7
@@ -96,6 +117,8 @@ class TestCheckInteger:
             check_integer("n", 7.0)
         with pytest.raises(TypeError):
             check_integer("n", True)
+        with pytest.raises(TypeError, match="n must be an integer, got bool"):
+            check_integer("n", np.bool_(True))
 
     def test_bounds(self):
         assert check_integer("n", 5, minimum=5, maximum=5) == 5
