@@ -1040,7 +1040,7 @@ def _run_compare(args: argparse.Namespace) -> str:
 def _run_trace(args: argparse.Namespace) -> str:
     import json
 
-    from repro.telemetry.summary import render_trace_summary
+    from repro.telemetry.summary import render_run_metrics, render_trace_summary
     from repro.telemetry.tracing import read_trace, validate_trace
 
     try:
@@ -1051,15 +1051,20 @@ def _run_trace(args: argparse.Namespace) -> str:
         raise SystemExit(f"error: malformed trace file {args.file!r}: {error}") from None
 
     lines = [render_trace_summary(records, slowest=args.slowest)]
+    # the sweep manifest, when it sits next to the trace, adds the run's
+    # metrics and (under --check) the trial span count to cross-check
+    manifest = None
+    manifest_path = os.path.join(os.path.dirname(os.path.abspath(args.file)),
+                                 "manifest.json")
+    if os.path.exists(manifest_path):
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        metrics = (manifest.get("stats") or {}).get("metrics")
+        if metrics:
+            lines.append("\n" + render_run_metrics(metrics))
     if args.check:
         problems = validate_trace(records)
-        manifest_path = os.path.join(os.path.dirname(os.path.abspath(args.file)),
-                                     "manifest.json")
-        if os.path.exists(manifest_path):
-            # the sweep manifest sits next to the trace: cross-check the
-            # trial span count against the recorded stats
-            with open(manifest_path) as handle:
-                manifest = json.load(handle)
+        if manifest is not None:
             expected = (manifest.get("stats") or {}).get("num_trials")
             trial_spans = sum(1 for record in records if record.name == "trial")
             if expected is not None and trial_spans != expected:

@@ -699,7 +699,7 @@ def _network_pdr_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
     the delivery ratio: as density rises, mean degree rises and PDR falls.
     """
     simulator = _contention_simulator(params, seed)
-    degrees = [degree for _, degree in simulator.graph.degree]
+    degrees = [len(neighbours) for neighbours in simulator.graph.values()]
     result = simulator.run(
         max_time_s=float(params["max_days"]) * 86_400.0,
         stop_at_first_death=False,

@@ -10,9 +10,10 @@ numbers of :mod:`repro.hardware` into deployment lifetimes (experiment E9):
 * :mod:`repro.network.node` — batteries and sensor nodes with per-component
   energy accounting;
 * :mod:`repro.network.topology` — grid / random deployments and the
-  connectivity graph (networkx) induced by the acoustic range;
-* :mod:`repro.network.routing` — static shortest-path routing to the sink,
-  plus the protocol models (unicast :class:`RoutedForwarding`, TTL-bounded
+  connectivity graph induced by the acoustic range (a plain
+  ``{node: {neighbour: distance}}`` mapping);
+* :mod:`repro.network.routing` — static shortest-path routing to the sink
+  (a stdlib ``heapq`` Dijkstra), plus the protocol models (unicast :class:`RoutedForwarding`, TTL-bounded
   :class:`TtlFlooding`);
 * :mod:`repro.network.mac` — TDMA, slotted-ALOHA and contention CSMA
   (:class:`CsmaMac`: per-packet collision draws, bounded retries) models;

@@ -6,11 +6,15 @@ wall-clock bound.  This engine replaces the per-packet loop with array
 accounting while reproducing the event loop bit-for-bit:
 
 1. **Schedule** — report events (time, source) are generated lazily in
-   chunks, in exactly the scheduler's order.  Jitter-free traffic is
-   generated analytically round-block by round-block with sequential
-   ``cumsum`` accumulation (matching the scheduler's repeated
-   ``now + delay`` float trajectory); jittered traffic replays the
-   scheduler's heap, drawing the identical RNG stream one uniform per event.
+   chunks, in exactly the scheduler's order.  Chunks start at
+   ``_FIRST_CHUNK_EVENTS`` and double up to ``_CHUNK_EVENTS``, so a run that
+   dies after a few hundred events generates little past its death.
+   Jitter-free traffic is generated analytically round-block by round-block
+   with sequential ``cumsum`` accumulation (matching the scheduler's
+   repeated ``now + delay`` float trajectory); jittered traffic replays the
+   scheduler's heap, drawing each chunk's jitter as one block of uniforms —
+   the identical values, in the identical order, that the event loop draws
+   one per event.
 2. **Charge model** — who pays for whose packets is a static function of the
    routing subtree (cf. :func:`repro.network.lifetime.subtree_sizes`):
    per-source transmit/receive indicator matrices over the current alive set.
@@ -33,7 +37,8 @@ builds exact per-event increment matrices instead — contention retry counts
 come from the same counter-based uniforms
 (:func:`repro.utils.rng.counter_uniforms`, keyed by each event's global
 schedule index) the event loop draws, floods are propagated
-level-synchronously as boolean matrix products, and chunks are segmented at
+level-synchronously as 0/1 matrix products (in ``float64``, where BLAS runs
+them and every count stays exact), and chunks are segmented at
 mobility epoch boundaries so every segment sees one fixed topology.  The
 cumulative death scan and boundary-event replay work unchanged on top of the
 increments.
@@ -47,6 +52,7 @@ tolerances.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +71,12 @@ __all__ = [
     "generate_report_schedule",
 ]
 
-# per-chunk telemetry (one update per scanned chunk, never per event)
+# engine telemetry (one update per chunk or per run, never per event)
+#: events generated by the schedule
 _EVENTS = counter("engine.network.events")
+#: events the engine consumed before the run ended (the rest were generated
+#: past a death that stopped the run)
+_EVENTS_CONSUMED = counter("engine.network.events_consumed")
 _CHUNKS = counter("engine.network.chunks")
 #: events processed through the general (contention/flooding/mobility) path
 _GENERAL_EVENTS = counter("engine.network.general_events")
@@ -75,8 +85,11 @@ _SEGMENT_EVENTS = histogram("engine.network.segment_events")
 #: same counter instance the event loop increments (registry-deduplicated)
 _PACKETS_DROPPED = counter("network.packets_dropped")
 
-#: Events per generated/scanned chunk; bounds wasted schedule generation past
-#: a death while keeping the NumPy call overhead amortised.
+#: Events in a run's first generated/scanned chunk; each later chunk doubles,
+#: up to ``_CHUNK_EVENTS``.  Small first chunks bound the schedule wasted past
+#: an early death; the doubling keeps the NumPy call overhead amortised.
+_FIRST_CHUNK_EVENTS = 256
+#: Largest chunk, in events.
 _CHUNK_EVENTS = 4096
 
 
@@ -141,19 +154,19 @@ class ScheduleStream:
         return chunk
 
     def _next_jittered(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        traffic = self.traffic
-        rng = self.rng
         heap = self._heap
         out_times: list[float] = []
         out_sources: list[int] = []
-        while heap and len(out_times) < size:
+        # every emitted event draws exactly one interval, in emission order,
+        # so one block of ``size`` draws is the event loop's stream; draws
+        # left unused here end the schedule (the horizon was reached)
+        for delay in self.traffic.next_intervals(self.rng, size).tolist():
             now, _, node_id = heapq.heappop(heap)
             if now > self.max_time_s:
                 self._remaining = 0
                 break
             out_times.append(now)
             out_sources.append(node_id)
-            delay = traffic.next_interval(rng)
             heapq.heappush(heap, (now + delay, self._sequence, node_id))
             self._sequence += 1
         return np.asarray(out_times, dtype=np.float64), np.asarray(out_sources, dtype=np.int64)
@@ -577,7 +590,9 @@ class BatchNetworkEngine:
         for node_id, neighbours in sim._adjacency.items():
             for neighbour in neighbours:
                 adjacency[rows[node_id], rows[neighbour]] = True
-        adj_alive = (adjacency & alive[np.newaxis, :]).astype(np.int64)
+        # 0/1 products summed over at most ``count`` terms are exact in a
+        # double, and float64 matmuls run in BLAS (integer ones do not)
+        adj_alive = (adjacency & alive[np.newaxis, :]).astype(np.float64)
         generated = alive[src_rows]
         tx = np.zeros((num_events, count), dtype=np.int64)
         rx = np.zeros_like(tx)
@@ -594,7 +609,7 @@ class BatchNetworkEngine:
                 sim._contention_seed, event_indices, len(edge_list)
             )
             edge_ok = (draws < probs[np.newaxis, :]) & alive[v_rows][np.newaxis, :]
-            v_onehot = np.zeros((len(edge_list), count), dtype=np.int64)
+            v_onehot = np.zeros((len(edge_list), count), dtype=np.float64)
             if edge_list:
                 v_onehot[np.arange(len(edge_list)), v_rows] = 1
         for _ in range(sim.protocol.ttl):
@@ -602,14 +617,14 @@ class BatchNetworkEngine:
             senders[:, sink_row] = False
             if not senders.any():
                 break
-            sender_counts = senders.astype(np.int64)
-            tx += attempts * sender_counts
-            rx += attempts * (sender_counts @ adj_alive)
+            hearers = senders.astype(np.float64) @ adj_alive
+            tx += attempts * senders
+            rx += attempts * hearers.astype(np.int64)
             if contention is not None:
-                contrib = (senders[:, u_rows] & edge_ok).astype(np.int64)
-                reached = (contrib @ v_onehot) > 0
+                decoded = (senders[:, u_rows] & edge_ok).astype(np.float64)
+                reached = (decoded @ v_onehot) > 0
             else:
-                reached = (sender_counts @ adj_alive) > 0
+                reached = hearers > 0
             frontier = reached & ~heard
             heard |= frontier
         fwd = rx.copy()
@@ -680,7 +695,7 @@ class BatchNetworkEngine:
         src_rows: np.ndarray,
         stop_at_first_death: bool,
         offset: int,
-    ) -> tuple[float | None, bool]:
+    ) -> tuple[float | None, int]:
         """The general-path chunk consumer: segment, scan increments, replay.
 
         ``offset`` is the global schedule index of ``times[0]`` — the key
@@ -715,8 +730,8 @@ class BatchNetworkEngine:
             )
             position += 1
             if stop_at_first_death and sim._first_death is not None:
-                return last_time, True
-        return last_time, False
+                break
+        return last_time, position
 
     # ------------------------------------------------------------------ #
     def _consume(
@@ -726,8 +741,12 @@ class BatchNetworkEngine:
         src_rows: np.ndarray,
         stop_at_first_death: bool,
         offset: int = 0,
-    ) -> tuple[float | None, bool]:
-        """Process one chunk of events; returns (last event time, finished)."""
+    ) -> tuple[float | None, int]:
+        """Process one chunk of events; returns (last event time, events consumed).
+
+        A chunk is consumed in full unless ``stop_at_first_death`` ends the
+        run inside it.
+        """
         sim = self.simulator
         if self._general:
             return self._consume_general(
@@ -744,15 +763,15 @@ class BatchNetworkEngine:
                 last_time = float(times[stop - 1])
             position = stop
             if crossing is None:
-                return last_time, False
+                break
             # replay the boundary event through the event loop's own per-hop
             # accounting: partial deliveries and death ordering stay exact
             last_time = float(times[position])
             sim._account_report(last_time, int(sources[position]))
             position += 1
             if stop_at_first_death and sim._first_death is not None:
-                return last_time, True
-        return last_time, False
+                break
+        return last_time, position
 
     # ------------------------------------------------------------------ #
     def run(
@@ -777,38 +796,40 @@ class BatchNetworkEngine:
         sim = self.simulator
         check_positive("max_time_s", max_time_s)
         end_time = 0.0
+        generated = consumed = 0
         with span("engine.network.run", nodes=len(self._ids)):
             if schedule is not None:
-                times, sources = schedule
-                _CHUNKS.inc()
-                _EVENTS.inc(len(times))
-                last_time, _ = self._consume(
-                    times, sources, self._to_rows(sources), stop_at_first_death
+                chunks = iter([schedule])
+            else:
+                chunks = self._chunks(
+                    ScheduleStream(
+                        sim.traffic, sim.sensor_ids, as_rng(sim.rng), max_time_s, max_events
+                    )
                 )
+            for times, sources in chunks:
+                _CHUNKS.inc()
+                last_time, used = self._consume(
+                    times, sources, self._to_rows(sources), stop_at_first_death,
+                    offset=generated,
+                )
+                generated += len(times)
+                consumed += used
                 if last_time is not None:
                     end_time = last_time
-            else:
-                stream = ScheduleStream(
-                    sim.traffic, sim.sensor_ids, as_rng(sim.rng), max_time_s, max_events
-                )
-                offset = 0
-                while True:
-                    times, sources = stream.next_chunk()
-                    if len(times) == 0:
-                        break
-                    _CHUNKS.inc()
-                    _EVENTS.inc(len(times))
-                    last_time, finished = self._consume(
-                        times,
-                        sources,
-                        self._to_rows(sources),
-                        stop_at_first_death,
-                        offset=offset,
-                    )
-                    offset += len(times)
-                    if last_time is not None:
-                        end_time = last_time
-                    if finished:
-                        break
+                if stop_at_first_death and sim._first_death is not None:
+                    break
+            _EVENTS.inc(generated)
+            _EVENTS_CONSUMED.inc(consumed)
             sim._advance_all(end_time)
             return sim._build_result(end_time)
+
+    @staticmethod
+    def _chunks(stream: ScheduleStream) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The stream's chunks, ``_FIRST_CHUNK_EVENTS`` long and doubling to the cap."""
+        size = _FIRST_CHUNK_EVENTS
+        while True:
+            times, sources = stream.next_chunk(size)
+            if len(times) == 0:
+                return
+            yield times, sources
+            size = min(2 * size, _CHUNK_EVENTS)

@@ -22,13 +22,15 @@ engine reproduces the identical outcome vectorised over whole event chunks.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import TYPE_CHECKING, Callable
 
 from repro.utils.validation import check_integer
 
 if TYPE_CHECKING:
-    import networkx as nx
+    from repro.network.topology import Graph
 
 __all__ = [
     "RoutingTable",
@@ -146,25 +148,43 @@ def flood_packet(
 
 
 def shortest_path_routing(
-    graph: nx.Graph, sink_id: int, allow_partial: bool = False
+    graph: Graph, sink_id: int, allow_partial: bool = False
 ) -> RoutingTable:
     """Compute minimum-distance routes from every node to the sink.
 
-    Uses Dijkstra over the distance-weighted connectivity graph.  With
-    ``allow_partial=True`` nodes with no path to the sink are left out of the
-    table (mobile topologies partition routinely) instead of raising.
+    One Dijkstra search from the sink over the distance-weighted
+    connectivity graph.  Ties resolve as in networkx's
+    ``shortest_path(graph, target=sink_id, weight="weight")``: the heap is
+    ordered by (distance, push count), a predecessor is replaced only on a
+    strictly shorter distance, and the table lists nodes in settle order.
+    With ``allow_partial=True`` nodes with no path to the sink are left out
+    of the table (mobile topologies partition routinely) instead of raising.
     """
-    import networkx as nx
-
     if sink_id not in graph:
         raise ValueError(f"sink id {sink_id} is not a node of the graph")
-    paths = nx.shortest_path(graph, target=sink_id, weight="weight")
-    next_hop: dict[int, int] = {}
-    full_paths: dict[int, list[int]] = {}
-    for node, path in paths.items():
-        full_paths[node] = list(path)
-        next_hop[node] = path[1] if len(path) > 1 else sink_id
-    missing = set(graph.nodes) - set(full_paths)
+    settled: dict[int, float] = {}  # final distances, in settle order
+    best: dict[int, float] = {sink_id: 0.0}
+    toward_sink: dict[int, int] = {}
+    pushes = count()
+    fringe = [(0.0, next(pushes), sink_id)]
+    while fringe:
+        distance, _, node = heapq.heappop(fringe)
+        if node in settled:
+            continue
+        settled[node] = distance
+        for neighbour, weight in graph[node].items():
+            through = distance + weight
+            if neighbour not in settled and (neighbour not in best or through < best[neighbour]):
+                best[neighbour] = through
+                toward_sink[neighbour] = node
+                heapq.heappush(fringe, (through, next(pushes), neighbour))
+    full_paths: dict[int, list[int]] = {sink_id: [sink_id]}
+    next_hop: dict[int, int] = {sink_id: sink_id}
+    for node in islice(settled, 1, None):
+        hop = toward_sink[node]
+        full_paths[node] = [node, *full_paths[hop]]
+        next_hop[node] = hop
+    missing = set(graph) - set(full_paths)
     if missing and not allow_partial:
         raise ValueError(f"nodes {sorted(missing)} have no route to the sink")
     return RoutingTable(sink_id=sink_id, next_hop=next_hop, paths=full_paths)

@@ -209,7 +209,7 @@ class NetworkSimulator:
             self.graph, deployment.sink_id, allow_partial=not self._strict_topology
         )
         self._adjacency: dict[int, list[int]] = {
-            node_id: sorted(self.graph.neighbors(node_id)) for node_id in self.graph.nodes
+            node_id: sorted(neighbours) for node_id, neighbours in self.graph.items()
         }
 
     def _rebuild_link_tables(self) -> None:
@@ -225,14 +225,11 @@ class NetworkSimulator:
         self._edge_success: dict[tuple[int, int], float] = {}
         if self._contention is None:
             return
-        degree = dict(self.graph.degree)
-        edges = sorted(
-            (u, v) for a, b in self.graph.edges for u, v in ((a, b), (b, a))
-        )
+        edges = sorted((u, v) for u, neighbours in self.graph.items() for v in neighbours)
         for slot, (u, v) in enumerate(edges):
             self._edge_slots[(u, v)] = slot
             self._edge_success[(u, v)] = self._contention.attempt_success_probability(
-                degree[v] - 1
+                len(self.graph[v]) - 1
             )
 
     def _refresh_topology(self, now: float) -> None:

@@ -4,8 +4,9 @@ The paper targets deployments of "10s to 100s of nodes spaced a relatively
 small distance apart (up to a few hundred meters)".  Two deployment
 generators are provided — a regular grid and a uniform random scatter over a
 rectangular area — plus the connectivity graph induced by a maximum acoustic
-communication range (built with networkx, so routing can reuse its
-shortest-path machinery), and :class:`LinearMobility`, a current-drift model
+communication range (a plain ``{node: {neighbour: distance}}`` mapping that
+the stdlib routing in :mod:`repro.network.routing` searches directly; no
+graph library is needed), and :class:`LinearMobility`, a current-drift model
 that displaces sensor positions over time (the moored sink stays put) so the
 topology and routes can be rebuilt epoch by epoch.
 """
@@ -14,23 +15,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.utils.rng import as_rng, counter_uniforms
 from repro.utils.validation import check_integer, check_positive
 
-if TYPE_CHECKING:
-    import networkx as nx
-
 __all__ = [
     "Deployment",
+    "Graph",
     "LinearMobility",
     "grid_deployment",
     "random_deployment",
     "connectivity_graph",
 ]
+
+#: A weighted undirected graph: ``graph[a][b]`` is the a-b distance in metres
+#: (stored under both endpoints); every node has an entry, isolated or not.
+Graph = dict[int, dict[int, float]]
 
 
 @dataclass(frozen=True)
@@ -189,13 +191,15 @@ def connectivity_graph(
     deployment: Deployment,
     communication_range_m: float,
     require_connected: bool = True,
-) -> nx.Graph:
+) -> Graph:
     """Build the connectivity graph: an edge joins nodes within acoustic range.
 
-    Edge weights carry the inter-node distance (metres), which the routing
-    layer uses as its path metric.  ``require_connected=False`` permits nodes
-    with no path to the sink (drifted/mobile deployments partition routinely;
-    the simulator then treats partitioned sources as undeliverable).
+    Nodes appear in deployment order and each node's neighbours in
+    deployment order too.  Edge weights are the inter-node distance
+    (metres), which the routing layer uses as its path metric.
+    ``require_connected=False`` permits nodes with no path to the sink
+    (drifted/mobile deployments partition routinely; the simulator then
+    treats partitioned sources as undeliverable).
 
     Raises
     ------
@@ -203,28 +207,31 @@ def connectivity_graph(
         If ``require_connected`` and the graph leaves any node disconnected
         from the sink — an unusable deployment for a data-collection network.
     """
-    import networkx as nx
-
     check_positive("communication_range_m", communication_range_m)
-    graph = nx.Graph()
-    graph.add_nodes_from(deployment.positions)
+    graph: Graph = {node_id: {} for node_id in deployment.positions}
     ids, points = deployment.position_array()
     # vectorised candidate selection (squared distances, with a small margin
     # against rounding), then the exact per-pair hypot check so the edge set
-    # and weights match the scalar definition bit for bit
+    # and weights match the scalar definition bit for bit; row-major (i < j)
+    # candidates keep every neighbour dict in deployment order
     deltas = points[:, np.newaxis, :] - points[np.newaxis, :, :]
     squared = np.einsum("ijk,ijk->ij", deltas, deltas)
     margin = (communication_range_m * (1.0 + 1e-9)) ** 2
-    candidates = np.argwhere(np.triu(squared <= margin, k=1))
-    for i, j in candidates:
+    for i, j in np.argwhere(np.triu(squared <= margin, k=1)).tolist():
         a, b = ids[i], ids[j]
         distance = deployment.distance(a, b)
         if distance <= communication_range_m:
-            graph.add_edge(a, b, weight=distance)
-    unreachable = [
-        n for n in graph.nodes
-        if n != deployment.sink_id and not nx.has_path(graph, n, deployment.sink_id)
-    ]
+            graph[a][b] = distance
+            graph[b][a] = distance
+    # one search from the sink marks everything that can reach it
+    reached = {deployment.sink_id}
+    pending = [deployment.sink_id]
+    while pending:
+        for neighbour in graph[pending.pop()]:
+            if neighbour not in reached:
+                reached.add(neighbour)
+                pending.append(neighbour)
+    unreachable = [n for n in graph if n not in reached]
     if unreachable and require_connected:
         raise ValueError(
             f"nodes {unreachable} cannot reach the sink with range {communication_range_m} m; "

@@ -63,6 +63,17 @@ class PeriodicTraffic:
         jitter = rng.uniform(-self.jitter_fraction, self.jitter_fraction)
         return self.report_interval_s * (1.0 + jitter)
 
+    def next_intervals(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The next ``count`` intervals as one array, drawn as a block.
+
+        Value for value — and in the generator state left behind — equal to
+        ``count`` successive :meth:`next_interval` calls on ``rng``.
+        """
+        if self.jitter_fraction == 0.0:
+            return np.full(count, self.report_interval_s)
+        jitter = rng.uniform(-self.jitter_fraction, self.jitter_fraction, size=count)
+        return self.report_interval_s * (1.0 + jitter)
+
     def reports_per_day(self) -> float:
         """Average number of reports per node per day."""
         return 86_400.0 / self.report_interval_s

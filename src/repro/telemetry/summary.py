@@ -7,13 +7,15 @@ totals over every span of a name, with each stage's *self* time — its
 spans' durations minus their children's — as its share of the wall clock,
 plus an ``unattributed`` row for the time no root span covers, so the shares
 of a serial trace sum to 100%), and *which trials were worst* (the slowest
-``trial`` spans with their identifying attributes).
+``trial`` spans with their identifying attributes).  The run's metric
+deltas, recorded in the sweep manifest, render alongside
+(:func:`render_run_metrics`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.telemetry.tracing import SpanRecord
 from repro.utils.tables import format_table
@@ -25,6 +27,7 @@ __all__ = [
     "aggregate_tree",
     "slowest_spans",
     "stage_shares",
+    "render_run_metrics",
     "render_trace_summary",
 ]
 
@@ -211,3 +214,26 @@ def render_trace_summary(
             title=f"Slowest {slowest_name!r} spans",
         ))
     return "\n\n".join(sections)
+
+
+def render_run_metrics(metrics: Mapping[str, Any]) -> str:
+    """A run's metric deltas (``stats.metrics`` of a sweep manifest) as a table.
+
+    Histogram windows show as count and mean.  When the network engine ran,
+    a closing line gives the share of its generated schedule events it
+    consumed — the rest were generated past the death that ended a run.
+    """
+    rows = []
+    for name, value in sorted(metrics.items()):
+        if isinstance(value, Mapping):
+            value = f"count={value['count']} mean={value['mean']:.4g}"
+        rows.append((name, value))
+    lines = [format_table(["Metric", "Value"], rows, title="Run metrics")]
+    generated = metrics.get("engine.network.events")
+    consumed = metrics.get("engine.network.events_consumed")
+    if generated and consumed is not None:
+        lines.append(
+            f"engine.network: {consumed} of {generated} generated events consumed "
+            f"({consumed / generated:.0%})"
+        )
+    return "\n".join(lines)

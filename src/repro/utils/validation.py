@@ -44,6 +44,8 @@ def _numpy_types(*names: str) -> tuple[type, ...]:
 
 def _is_real_number(value: Any) -> bool:
     """Return True for Python/NumPy real scalars (bools excluded)."""
+    if type(value) in (float, int):  # the hot case, settled before any numpy lookup
+        return True
     if isinstance(value, bool):
         return False
     return isinstance(value, (int, float, *_numpy_types("integer", "floating")))
@@ -120,10 +122,11 @@ def check_integer(
     maximum: int | None = None,
 ) -> int:
     """Validate that ``value`` is an integer (optionally within bounds)."""
-    if isinstance(value, (bool, *_numpy_types("bool_"))):
-        raise TypeError(f"{name} must be an integer, got bool")
-    if not isinstance(value, (int, *_numpy_types("integer"))):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if type(value) is not int:  # a plain int (never a bool) needs no numpy lookup
+        if isinstance(value, (bool, *_numpy_types("bool_"))):
+            raise TypeError(f"{name} must be an integer, got bool")
+        if not isinstance(value, (int, *_numpy_types("integer"))):
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     v = int(value)
     if minimum is not None and v < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {v}")

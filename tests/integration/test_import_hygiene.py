@@ -2,9 +2,10 @@
 
 The checks run in fresh interpreters, since what a process has imported
 depends on everything imported before it.  scipy backs only
-:mod:`repro.dsp.passband` and networkx only the network layer's graphs, so
-a CLI start, ``repro scenarios`` and a hardware-only sweep load neither, and
-every registered scenario runs with scipy blocked outright.  numpy backs
+:mod:`repro.dsp.passband`, so a CLI start, ``repro scenarios`` and a
+hardware-only sweep load none of it, and every registered scenario runs
+with scipy blocked outright.  networkx is a test-only oracle: every
+network sweep runs with it blocked and writes the same records.  numpy backs
 only the engines, so the control plane runs with numpy blocked outright:
 ``repro scenarios``, the closed-form ``platform-energy`` sweep, a fully
 cached resume of every scenario, and the trace and warehouse commands.
@@ -47,6 +48,7 @@ sys.meta_path.insert(0, Block())
 
 BLOCK_SCIPY = _block("scipy")
 BLOCK_NUMPY = _block("numpy")
+BLOCK_NETWORKX = _block("networkx")
 
 #: ``repro <argv>`` in-process; writes which HEAVY modules it loaded to argv[1].
 RUN_CLI = '''
@@ -111,6 +113,19 @@ def test_default_sweep_runs_without_scipy(scenario, tmp_path):
     assert (tmp_path / "results" / "sweeps" / scenario / "results.jsonl").is_file()
 
 
+@pytest.mark.parametrize(
+    "scenario", [name for name in scenario_names() if name.startswith("network-")]
+)
+def test_network_sweep_runs_without_networkx(scenario, tmp_path):
+    """A networkx-free miss writes the records an unrestricted run writes."""
+    free, plain = tmp_path / "free", tmp_path / "plain"
+    loaded = _repro(tmp_path, "sweep", scenario, "--no-cache", "--output", str(free),
+                    block=BLOCK_NETWORKX)
+    assert "networkx" not in loaded
+    _repro(tmp_path, "sweep", scenario, "--no-cache", "--output", str(plain))
+    assert (free / "results.jsonl").read_bytes() == (plain / "results.jsonl").read_bytes()
+
+
 @pytest.mark.parametrize("scenario", scenario_names())
 def test_cached_resume_runs_without_numpy(scenario, tmp_path):
     """A scipy-free miss fills the default cache; its 100%-hit resume needs no numpy."""
@@ -147,6 +162,13 @@ def test_blocking_scipy_does_block_it(tmp_path):
     done = _python(f"import sys\n{BLOCK_SCIPY}\nimport repro.dsp.passband", cwd=tmp_path)
     assert done.returncode != 0
     assert "No module named 'scipy" in done.stderr
+
+
+def test_blocking_networkx_does_block_it(tmp_path):
+    """The guard the networkx-free runs rely on: a networkx import really fails."""
+    done = _python(f"import sys\n{BLOCK_NETWORKX}\nimport networkx", cwd=tmp_path)
+    assert done.returncode != 0
+    assert "No module named 'networkx" in done.stderr
 
 
 def test_blocking_numpy_does_block_it(tmp_path):

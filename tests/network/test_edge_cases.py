@@ -81,8 +81,8 @@ class TestConnectivityVectorisation:
         vectorised candidate preselection must not drop boundary pairs)."""
         positions = {0: (0.0, 0.0), 1: (300.0, 0.0)}
         graph = connectivity_graph(Deployment(positions=positions, sink_id=0), 300.0)
-        assert graph.has_edge(0, 1)
-        assert graph.edges[0, 1]["weight"] == 300.0
+        assert 1 in graph[0] and 0 in graph[1]
+        assert graph[0][1] == graph[1][0] == 300.0
 
     def test_edges_match_scalar_definition(self):
         deployment = random_deployment(30, area_m=(800.0, 800.0), rng=7)
@@ -95,10 +95,11 @@ class TestConnectivityVectorisation:
             for b in ids[i + 1 :]
             if deployment.distance(a, b) <= communication_range
         }
-        got = {(min(a, b), max(a, b)) for a, b in graph.edges}
+        got = {(min(a, b), max(a, b)) for a in graph for b in graph[a]}
         assert got == {(min(a, b), max(a, b)) for a, b in expected}
-        for a, b in graph.edges:
-            assert graph.edges[a, b]["weight"] == deployment.distance(a, b)
+        for a in graph:
+            for b, weight in graph[a].items():
+                assert weight == graph[b][a] == deployment.distance(a, b)
 
     def test_position_array_roundtrip(self):
         deployment = grid_deployment(2, 3, spacing_m=50.0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.network.topology import (
@@ -71,14 +70,20 @@ class TestConnectivityGraph:
     def test_grid_with_sufficient_range_is_connected(self):
         deployment = grid_deployment(4, 4, spacing_m=200.0)
         graph = connectivity_graph(deployment, communication_range_m=250.0)
-        assert nx.is_connected(graph)
-        assert graph.number_of_nodes() == 16
+        reached, pending = {0}, [0]
+        while pending:
+            for neighbour in graph[pending.pop()]:
+                if neighbour not in reached:
+                    reached.add(neighbour)
+                    pending.append(neighbour)
+        assert reached == set(graph)
+        assert len(graph) == 16
 
     def test_edge_weights_are_distances(self):
         deployment = grid_deployment(2, 2, spacing_m=100.0)
         graph = connectivity_graph(deployment, communication_range_m=120.0)
-        assert graph.edges[0, 1]["weight"] == pytest.approx(100.0)
-        assert not graph.has_edge(0, 3)  # diagonal (141 m) exceeds the 120 m range
+        assert graph[0][1] == pytest.approx(100.0)
+        assert 3 not in graph[0]  # diagonal (141 m) exceeds the 120 m range
 
     def test_disconnected_deployment_rejected(self):
         deployment = grid_deployment(1, 3, spacing_m=500.0)
@@ -89,4 +94,4 @@ class TestConnectivityGraph:
         deployment = grid_deployment(3, 3, spacing_m=200.0)
         short = connectivity_graph(deployment, communication_range_m=250.0)
         long = connectivity_graph(deployment, communication_range_m=450.0)
-        assert long.number_of_edges() > short.number_of_edges()
+        assert sum(map(len, long.values())) > sum(map(len, short.values()))

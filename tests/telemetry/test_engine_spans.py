@@ -124,6 +124,28 @@ class TestNetworkEngineSpans:
         assert run_span.attributes["nodes"] == 9
         assert registry().counter("engine.network.events").value > events_before
 
+    def test_consumed_events_count_what_the_event_loop_processes(self):
+        """``events_consumed`` is exactly the event loop's processed-event count;
+        ``events`` adds what was generated past the death that ended the run."""
+        def simulator():
+            return NetworkSimulator(
+                deployment=grid_deployment(3, 3, spacing_m=200.0),
+                energy_budget=ModemEnergyBudget(processing_energy_per_estimation_j=500.76e-6),
+                traffic=PeriodicTraffic(report_interval_s=30.0, packet_symbols=16,
+                                        jitter_fraction=0.1),
+                battery_capacity_j=150.0,
+                rng=0,
+            )
+        generated = registry().counter("engine.network.events")
+        consumed = registry().counter("engine.network.events_consumed")
+        generated_before, consumed_before = generated.value, consumed.value
+        result = simulator().run(max_time_s=86_400.0)
+        oracle = simulator()
+        oracle.run_event_loop(max_time_s=86_400.0)
+        assert result.first_death_time_s is not None
+        assert consumed.value - consumed_before == oracle._event_index
+        assert generated.value - generated_before > oracle._event_index
+
 
 class TestNumpyAttributeSafety:
     def test_span_attributes_serialise_after_numpy_inputs(self, small_matrices, rng):

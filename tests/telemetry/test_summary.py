@@ -8,6 +8,7 @@ from repro.telemetry.summary import (
     UNATTRIBUTED,
     aggregate_stages,
     aggregate_tree,
+    render_run_metrics,
     render_trace_summary,
     slowest_spans,
     stage_shares,
@@ -106,3 +107,24 @@ class TestRender:
 
     def test_empty_trace(self):
         assert render_trace_summary([]) == "empty trace (0 spans)"
+
+
+class TestRunMetrics:
+    def test_counters_histograms_and_the_consumed_share(self):
+        report = render_run_metrics({
+            "engine.network.events": 1024,
+            "engine.network.events_consumed": 256,
+            "engine.network.segment_events": {
+                "count": 4, "mean": 256.0, "min": 1, "max": 512, "total": 1024.0,
+            },
+        })
+        assert "Run metrics" in report
+        assert "count=4 mean=256" in report
+        assert report.splitlines()[-1] == (
+            "engine.network: 256 of 1024 generated events consumed (25%)"
+        )
+
+    def test_no_share_line_without_the_network_engine(self):
+        report = render_run_metrics({"sweep.trials_executed": 3})
+        assert "sweep.trials_executed" in report
+        assert "generated events consumed" not in report

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,53 @@ class TestCheckInteger:
             check_integer("n", 4, minimum=5)
         with pytest.raises(ValueError):
             check_integer("n", 6, maximum=5)
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+#: (value, check_integer accepts it, real-number checks accept it): the
+#: exact-type fast paths must accept and reject exactly what the general
+#: isinstance checks do
+SCALAR_TABLE = [
+    (7, True, True),
+    (2**70, True, True),
+    (_Int(3), True, True),
+    (np.int8(3), True, True),
+    (np.uint64(3), True, True),
+    (True, False, False),
+    (np.bool_(True), False, False),
+    (2.0, False, True),
+    (float("nan"), False, True),
+    (_Float(2.0), False, True),
+    (np.float32(2.0), False, True),
+    ("3", False, False),
+    (None, False, False),
+    (1 + 0j, False, False),
+]
+
+
+@pytest.mark.parametrize("value, integer, real", SCALAR_TABLE, ids=repr)
+class TestScalarTypeTable:
+    def test_check_integer(self, value, integer, real):
+        if integer:
+            assert check_integer("n", value) == int(value)
+        else:
+            with pytest.raises(TypeError, match="^n must be an integer, got "):
+                check_integer("n", value)
+
+    def test_real_number_checks(self, value, integer, real):
+        if real:
+            checked = check_in_range("x", value)
+            assert checked == float(value) or math.isnan(checked)
+        else:
+            with pytest.raises(TypeError, match="^x must be a real number, got "):
+                check_in_range("x", value)
 
 
 class TestCheckPowerOfTwo:
