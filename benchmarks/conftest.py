@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.ablations import aquamodem_signal_matrices
 from repro.dsp.signal_matrix import SignalMatrices
+from repro.modem.config import aquamodem_signal_matrices
 
 
 @pytest.fixture(scope="session")

@@ -9,38 +9,35 @@ reference.
 
 from __future__ import annotations
 
-from repro.analysis.ablations import bitwidth_accuracy_ablation
+from repro.experiments import get_scenario, run_sweep
 from repro.utils.tables import format_table
 
-WORD_LENGTHS = (4, 6, 8, 10, 12, 16)
+#: The paper's six word lengths at 25 dB, 12 paired channels each (what
+#: ``repro bitwidth`` renders).
+SPEC = get_scenario("fixedpoint-bitwidth").spec.with_seed(base_seed=0, replicates=12)
+METRICS = ("normalized_error", "support_recovery", "error_vs_float")
 
 
 def test_bench_ablation_bitwidth(benchmark):
-    results = benchmark.pedantic(
-        bitwidth_accuracy_ablation,
-        kwargs=dict(word_lengths=WORD_LENGTHS, num_trials=12, snr_db=25.0, rng=0),
-        iterations=1,
-        rounds=1,
+    result = benchmark.pedantic(run_sweep, args=(SPEC,), iterations=1, rounds=1)
+    error, support, vs_float = (
+        result.group_mean(by="word_length", metric=metric) for metric in METRICS
     )
     print()
     print(
         format_table(
             ["Word length", "error vs true channel", "support recovery", "error vs float MP"],
-            [
-                (r.word_length, r.mean_normalized_error, r.mean_support_recovery, r.mean_error_vs_float)
-                for r in results
-            ],
+            [(bits, error[bits], support[bits], vs_float[bits]) for bits in error],
             title="E6 — fixed-point MP accuracy vs word length",
         )
     )
-    by_bits = {r.word_length: r for r in results}
 
     # the paper's claim: 8 bits are already accurate ...
-    assert by_bits[8].mean_support_recovery > 0.9
-    assert by_bits[8].mean_error_vs_float < 0.25
-    assert by_bits[8].mean_normalized_error < 0.2
+    assert support[8] > 0.9
+    assert vs_float[8] < 0.25
+    assert error[8] < 0.2
     # ... 10+ bits do not change the story ...
-    assert abs(by_bits[10].mean_normalized_error - by_bits[8].mean_normalized_error) < 0.1
-    assert by_bits[16].mean_error_vs_float < 0.1
+    assert abs(error[10] - error[8]) < 0.1
+    assert vs_float[16] < 0.1
     # ... while very low precision clearly degrades estimation
-    assert by_bits[4].mean_normalized_error > 1.5 * by_bits[8].mean_normalized_error
+    assert error[4] > 1.5 * error[8]

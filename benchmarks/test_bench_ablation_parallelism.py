@@ -9,7 +9,6 @@ to fully parallel (lowest energy).
 
 from __future__ import annotations
 
-from repro.analysis.ablations import parallelism_ablation
 from repro.core.dse import DesignSpaceExplorer, divisors
 from repro.hardware.devices import SPARTAN3_XC3S5000, VIRTEX4_XC4VSX55
 from repro.utils.tables import format_table
@@ -17,8 +16,13 @@ from repro.utils.tables import format_table
 
 def _run_sweep():
     return {
-        "Virtex-4": parallelism_ablation(device=VIRTEX4_XC4VSX55, word_length=8),
-        "Spartan-3": parallelism_ablation(device=SPARTAN3_XC3S5000, word_length=8),
+        family: DesignSpaceExplorer(
+            devices=(device,),
+            parallelism_levels=tuple(divisors(112)),
+            bit_widths=(8,),
+            include_infeasible=True,
+        ).explore()
+        for family, device in (("Virtex-4", VIRTEX4_XC4VSX55), ("Spartan-3", SPARTAN3_XC3S5000))
     }
 
 

@@ -4,10 +4,9 @@ Runs the full bitwidth ablation (the paper's six word lengths, 48 paired
 Monte-Carlo channels each) two ways at equal trial counts and records the
 speed-up:
 
-* the default path — :func:`~repro.analysis.ablations.bitwidth_accuracy_ablation`,
-  a plain ``run_sweep`` of the ``fixedpoint-bitwidth`` scenario, which hands
-  every cache miss to the scenario's ``run_batch`` (one
-  ``estimate_batch`` per word length);
+* the default path — a plain ``run_sweep`` of the ``fixedpoint-bitwidth``
+  scenario (what ``repro bitwidth`` renders), which hands every cache miss
+  to the scenario's ``run_batch`` (one ``estimate_batch`` per word length);
 * the scalar oracle, called directly — the scenario's ``run_trial`` (the
   scalar :meth:`~repro.core.fixedpoint_mp.FixedPointMatchingPursuit.estimate`)
   once per trial, aggregated the same way.
@@ -29,31 +28,32 @@ from __future__ import annotations
 
 import time
 
-from repro.analysis.ablations import BitwidthAccuracyResult, bitwidth_accuracy_ablation
 from repro.experiments import get_scenario, run_sweep
-from repro.experiments.registry import config_params
-from repro.modem.config import AquaModemConfig
 from repro.utils.tables import format_table
 
-WORD_LENGTHS = (4, 6, 8, 10, 12, 16)
 TRIALS = 48
 ROUNDS = 3
 MIN_SPEEDUP = 5.0
 METRICS = ("normalized_error", "support_recovery", "error_vs_float")
 
-#: The spec bitwidth_accuracy_ablation builds for these arguments.
-SPEC = (
-    get_scenario("fixedpoint-bitwidth").spec
-    .with_axis("word_length", WORD_LENGTHS)
-    .with_base(snr_db=25.0, num_channel_paths=4, **config_params(AquaModemConfig()))
-    .with_seed(base_seed=0, replicates=TRIALS)
-)
+#: The paper's six word lengths at 25 dB, TRIALS paired channels each.
+SPEC = get_scenario("fixedpoint-bitwidth").spec.with_seed(base_seed=0, replicates=TRIALS)
+WORD_LENGTHS = SPEC.grid["word_length"]
+
+
+def _means(rows) -> dict[int, list[float]]:
+    """Per word length, the mean of every metric over ``(word_length, metrics)`` rows."""
+    by_bits: dict[int, list[dict]] = {}
+    for bits, metrics in rows:
+        by_bits.setdefault(bits, []).append(metrics)
+    return {
+        bits: [sum(float(metrics[name]) for metrics in group) / len(group) for name in METRICS]
+        for bits, group in by_bits.items()
+    }
 
 
 def _ablation():
-    return bitwidth_accuracy_ablation(
-        word_lengths=WORD_LENGTHS, num_trials=TRIALS, snr_db=25.0, rng=0
-    )
+    return _means((record["word_length"], record) for record in run_sweep(SPEC).records)
 
 
 def _scalar_metrics() -> list[dict]:
@@ -63,23 +63,10 @@ def _scalar_metrics() -> list[dict]:
 
 
 def _scalar_ablation():
-    by_bits: dict[int, list[dict]] = {}
-    for trial, metrics in zip(SPEC.expand(), _scalar_metrics()):
-        by_bits.setdefault(trial.params["word_length"], []).append(metrics)
-
-    def mean(bits: int, name: str) -> float:
-        values = [float(metrics[name]) for metrics in by_bits[bits]]
-        return sum(values) / len(values)
-
-    return [
-        BitwidthAccuracyResult(
-            word_length=bits,
-            mean_normalized_error=mean(bits, "normalized_error"),
-            mean_support_recovery=mean(bits, "support_recovery"),
-            mean_error_vs_float=mean(bits, "error_vs_float"),
-        )
-        for bits in WORD_LENGTHS
-    ]
+    return _means(
+        (trial.params["word_length"], metrics)
+        for trial, metrics in zip(SPEC.expand(), _scalar_metrics())
+    )
 
 
 def test_bench_fixedpoint_batch(benchmark):

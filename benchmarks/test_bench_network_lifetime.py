@@ -11,19 +11,23 @@ giving the longest deployment.
 
 from __future__ import annotations
 
-from repro.analysis.ablations import network_lifetime_study
+from repro.experiments import get_scenario, run_sweep
 from repro.utils.tables import format_table
+
+SPEC = (
+    get_scenario("network-lifetime").spec
+    .with_axis("report_interval_s", (120.0,))
+    .with_axis("topology", ("grid",))
+    .with_base(
+        grid_rows=5, grid_cols=5, spacing_m=200.0, communication_range_m=300.0,
+        battery_capacity_j=200_000.0,   # a D-cell class lithium pack
+        packet_symbols=32,
+    )
+)
 
 
 def _study():
-    return network_lifetime_study(
-        grid_size=(5, 5),
-        spacing_m=200.0,
-        communication_range_m=300.0,
-        battery_capacity_j=200_000.0,   # a D-cell class lithium pack
-        report_interval_s=120.0,
-        packet_symbols=32,
-    )
+    return {record["platform"]: record["lifetime_days"] for record in run_sweep(SPEC).records}
 
 
 def test_bench_network_lifetime(benchmark):

@@ -22,7 +22,7 @@ Run with:  python examples/fixed_point_accuracy.py
 
 from __future__ import annotations
 
-from repro.analysis.ablations import bitwidth_accuracy_ablation
+from repro.experiments import get_scenario, run_sweep
 from repro.hardware.devices import VIRTEX4_XC4VSX55
 from repro.hardware.fpga import FPGAImplementation
 from repro.utils.tables import format_table
@@ -31,19 +31,25 @@ WORD_LENGTHS = (4, 6, 8, 10, 12, 16)
 
 
 def main() -> None:
-    accuracy = bitwidth_accuracy_ablation(
-        word_lengths=WORD_LENGTHS, num_trials=20, snr_db=25.0, rng=0
+    spec = (
+        get_scenario("fixedpoint-bitwidth").spec
+        .with_axis("word_length", WORD_LENGTHS)
+        .with_base(snr_db=25.0)
+        .with_seed(base_seed=0, replicates=20)
+    )
+    result = run_sweep(spec)
+    error, support, vs_float = (
+        result.group_mean(by="word_length", metric=metric)
+        for metric in ("normalized_error", "support_recovery", "error_vs_float")
     )
     rows = []
-    for result in accuracy:
-        hardware = FPGAImplementation(
-            VIRTEX4_XC4VSX55, num_fc_blocks=112, word_length=result.word_length
-        )
+    for bits in WORD_LENGTHS:
+        hardware = FPGAImplementation(VIRTEX4_XC4VSX55, num_fc_blocks=112, word_length=bits)
         rows.append((
-            result.word_length,
-            round(result.mean_normalized_error, 4),
-            round(result.mean_error_vs_float, 4),
-            f"{result.mean_support_recovery:.0%}",
+            bits,
+            round(error[bits], 4),
+            round(vs_float[bits], 4),
+            f"{support[bits]:.0%}",
             hardware.area.slices,
             round(hardware.power.total_power_w, 2),
             round(hardware.energy.energy_uj, 2),

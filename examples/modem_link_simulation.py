@@ -21,15 +21,21 @@ import time
 
 import numpy as np
 
-from repro import AquaModemConfig, IPCoreConfig, IPCoreSimulator, Receiver, Transmitter
-from repro.analysis.ablations import aquamodem_signal_matrices
+from repro import (
+    AquaModemConfig,
+    IPCoreConfig,
+    IPCoreSimulator,
+    Receiver,
+    Transmitter,
+    aquamodem_signal_matrices,
+)
 from repro.channel.geometry import ShallowWaterGeometry
 from repro.channel.multipath import MultipathChannel
 from repro.channel.noise import total_noise_level_db
 from repro.channel.propagation import snr_db as sonar_snr_db
 from repro.channel.simulator import add_noise_for_snr, apply_channel
 from repro.modem.frame import bit_errors, random_bits
-from repro.modem.link import LinkSimulator, symbol_error_rate_curve
+from repro.modem.link import LinkSimulator
 from repro.utils.tables import format_table
 
 
@@ -81,8 +87,8 @@ def ser_sweep() -> None:
     """
     snr_points = [-9.0, -6.0, -3.0, 0.0, 3.0]
     t0 = time.perf_counter()
-    dsss = symbol_error_rate_curve("DSSS", snr_points, num_symbols=120, rng=3)
-    fsk = symbol_error_rate_curve("FSK", snr_points, num_symbols=120, rng=4)
+    dsss = LinkSimulator(rng=3).run_curve("DSSS", snr_points, num_symbols=120)
+    fsk = LinkSimulator(rng=4).run_curve("FSK", snr_points, num_symbols=120)
     batched_s = time.perf_counter() - t0
     print(format_table(
         ["SNR (dB)", "DS-SS SER", "FSK SER"],

@@ -19,7 +19,7 @@ Run with:  python examples/sensor_network_lifetime.py
 
 from __future__ import annotations
 
-from repro.analysis.ablations import network_lifetime_study
+from repro.experiments import get_scenario, run_sweep
 from repro.modem.energy_budget import ModemEnergyBudget
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import grid_deployment
@@ -36,15 +36,20 @@ PLATFORM_ENERGIES_UJ = {
 
 
 def analytical_study() -> None:
-    lifetimes = network_lifetime_study(
-        grid_size=(5, 5),
-        spacing_m=200.0,
-        communication_range_m=300.0,
-        battery_capacity_j=200_000.0,
-        report_interval_s=120.0,
-        packet_symbols=32,
-        platform_energies_uj=PLATFORM_ENERGIES_UJ,
+    spec = (
+        get_scenario("network-lifetime").spec
+        .with_axis("report_interval_s", (120.0,))
+        .with_axis("topology", ("grid",))
+        .with_zipped({
+            "platform": tuple(PLATFORM_ENERGIES_UJ),
+            "energy_uj": tuple(PLATFORM_ENERGIES_UJ.values()),
+        })
+        .with_base(
+            grid_rows=5, grid_cols=5, spacing_m=200.0, communication_range_m=300.0,
+            battery_capacity_j=200_000.0, packet_symbols=32, continuous_detection=True,
+        )
     )
+    lifetimes = {record["platform"]: record["lifetime_days"] for record in run_sweep(spec).records}
     print(format_table(
         ["Platform", "Lifetime (days)", "vs MicroBlaze"],
         [

@@ -81,7 +81,6 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "analysis.ablations": ("aquamodem_signal_matrices",),
     "channel.multipath": ("MultipathChannel", "random_sparse_channel"),
     "core.dse": ("DesignPoint", "DesignSpaceExplorer"),
     "core.fixedpoint_mp": ("FixedPointMatchingPursuit",),
@@ -98,7 +97,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "hardware.devices": ("SPARTAN3_XC3S5000", "VIRTEX4_XC4VSX55", "get_device"),
     "hardware.fpga": ("FPGAImplementation",),
     "hardware.processors": ("microblaze_soft_core", "ti_c6713"),
-    "modem.config": ("AquaModemConfig",),
+    "modem.config": ("AquaModemConfig", "aquamodem_signal_matrices"),
     "modem.receiver": ("Receiver",),
     "modem.transmitter": ("Transmitter",),
     "network.simulator": ("NetworkSimulator",),

@@ -5,7 +5,7 @@ of its public names and imports none of them::
 
     __getattr__, __dir__ = lazy_exports(__name__, {
         "table1": ("reproduce_table1",),
-        "ablations": ("bitwidth_accuracy_ablation", "network_lifetime_study"),
+        "table2": ("reproduce_table2", "Table2Row"),
     })
 
 ``import repro.analysis`` then runs no submodule, and ``from repro.analysis

@@ -11,9 +11,11 @@
 * :mod:`repro.analysis.figure6` — regenerate the power / energy series.
 * :mod:`repro.analysis.table3` — regenerate the platform comparison and the
   210x / 52x headline ratios.
-* :mod:`repro.analysis.ablations` — the extension studies (bit-width accuracy,
-  DS-SS vs FSK, full parallelism sweep, network lifetime).
 * :mod:`repro.analysis.report` — paper-vs-measured report rendering.
+
+The extension studies (E6 bit width, E7 DS-SS vs FSK, E8 parallelism, E9
+lifetime) are scenario sweeps of :mod:`repro.experiments.registry`; the
+``repro bitwidth``/``ser``/``ipcore``/``lifetime`` commands render them.
 """
 
 from repro._lazy import lazy_exports
@@ -28,10 +30,6 @@ __all__ = [
     "Figure6Point",
     "reproduce_table3",
     "Table3Row",
-    "bitwidth_accuracy_ablation",
-    "parallelism_ablation",
-    "dsss_vs_fsk_ablation",
-    "network_lifetime_study",
     "SensitivityPoint",
     "headline_sensitivity",
     "PERTURBABLE_PARAMETERS",
@@ -46,10 +44,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "table2": ("reproduce_table2", "Table2Row"),
     "figure6": ("reproduce_figure6", "Figure6Point"),
     "table3": ("reproduce_table3", "Table3Row"),
-    "ablations": (
-        "bitwidth_accuracy_ablation", "parallelism_ablation", "dsss_vs_fsk_ablation",
-        "network_lifetime_study",
-    ),
     "sensitivity": ("SensitivityPoint", "headline_sensitivity", "PERTURBABLE_PARAMETERS"),
     "export": ("export_all", "write_csv"),
     "report": ("comparison_report",),

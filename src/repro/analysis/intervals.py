@@ -8,8 +8,7 @@ the stack:
   proportion intervals (symbol error rates, delivery ratios).  Wilson is the
   default (good coverage even at extreme proportions, cheap); Clopper-Pearson
   is the exact/conservative alternative, computed from the inverse regularised
-  incomplete beta function implemented here in pure stdlib ``math`` (no scipy
-  dependency);
+  incomplete beta function implemented here in pure stdlib ``math``;
 * :func:`normal_interval` — the large-sample interval on a mean, for metrics
   that are not proportions (lifetimes, cycle counts);
 * :class:`OnlineMean` / :class:`BinomialAccumulator` — O(1)-memory

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 # Only the standard library and the table renderer load at import time: each
 # handler imports the layers it runs, so `repro scenarios` or a hardware-only
-# sweep never pays for numpy, scipy or networkx it does not use.
+# sweep never pays for numpy it does not use.
 from repro.utils.tables import format_table
 
 __all__ = ["build_parser", "main"]
@@ -427,11 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_estimate(args: argparse.Namespace) -> str:
-    from repro.analysis.ablations import aquamodem_signal_matrices
     from repro.channel.multipath import random_sparse_channel
     from repro.channel.simulator import add_noise_for_snr
     from repro.core.matching_pursuit import matching_pursuit
-    from repro.modem.config import AquaModemConfig
+    from repro.modem.config import AquaModemConfig, aquamodem_signal_matrices
 
     config = AquaModemConfig(num_paths=args.num_paths)
     matrices = aquamodem_signal_matrices(config)
@@ -456,23 +455,50 @@ def _run_estimate(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _run_bitwidth(args: argparse.Namespace) -> str:
-    from repro.analysis.ablations import bitwidth_accuracy_ablation
+def _study_spec(args: argparse.Namespace):
+    """The scenario sweep a study subcommand renders, with its flags applied.
 
-    results = bitwidth_accuracy_ablation(
-        word_lengths=(4, 6, 8, 10, 12, 16),
-        num_trials=args.trials,
-        snr_db=args.snr_db,
-        rng=0,
-        jobs=args.jobs,
-    )
-    return format_table(
-        ["Bits", "Error vs truth", "Support recovery", "Error vs float"],
-        [
-            (r.word_length, r.mean_normalized_error, r.mean_support_recovery, r.mean_error_vs_float)
-            for r in results
-        ],
-        title="Fixed-point MP accuracy vs word length",
+    ``bitwidth`` runs ``--trials`` paired channels per word length of
+    ``fixedpoint-bitwidth``; ``lifetime`` the analytical ``network-lifetime``
+    model at one report interval and topology (``--trials`` switches to
+    :func:`_lifetime_trials_spec`); ``ipcore`` the Table 2 levels (all eight
+    with ``--parallelism``) of ``ipcore-parallelism`` at one word length; and
+    ``ser`` one ``modem-ser-vs-snr`` replicate per scheme and SNR point.
+    """
+    from repro.experiments.registry import get_scenario
+
+    if args.command == "bitwidth":
+        return (
+            get_scenario("fixedpoint-bitwidth").spec
+            .with_base(snr_db=args.snr_db)
+            .with_seed(replicates=args.trials)
+        )
+    if args.command == "lifetime":
+        if args.trials > 0:
+            return _lifetime_trials_spec(args)
+        return (
+            get_scenario("network-lifetime").spec
+            .with_axis("report_interval_s", (args.report_interval_s,))
+            .with_axis("topology", (args.topology,))
+            .with_base(
+                grid_rows=args.grid, grid_cols=args.grid,
+                battery_capacity_j=args.battery_kj * 1e3,
+            )
+        )
+    if args.command == "ipcore":
+        levels = (1, 2, 4, 8, 14, 28, 56, 112) if args.parallelism else (1, 14, 112)
+        return (
+            get_scenario("ipcore-parallelism").spec
+            .with_axis("num_fc_blocks", levels)
+            .with_axis("word_length", (args.word_length,))
+            .with_base(snr_db=args.snr_db)
+            .with_seed(base_seed=args.seed, replicates=args.trials)
+        )
+    return (
+        get_scenario("modem-ser-vs-snr").spec
+        .with_axis("snr_db", args.snr_db)
+        .with_base(num_symbols=args.symbols, num_frames=args.frames)
+        .with_seed(base_seed=args.seed, replicates=1)
     )
 
 
@@ -550,83 +576,74 @@ def _lifetime_trials_table(result) -> str:
     )
 
 
-def _run_lifetime(args: argparse.Namespace) -> str:
-    if args.trials > 0:
-        from repro.experiments.runner import run_sweep
-
-        spec = _lifetime_trials_spec(args)
-        return _lifetime_trials_table(run_sweep(spec, jobs=args.jobs))
-    from repro.analysis.ablations import network_lifetime_study
-
-    lifetimes = network_lifetime_study(
-        grid_size=(args.grid, args.grid),
-        battery_capacity_j=args.battery_kj * 1e3,
-        report_interval_s=args.report_interval_s,
-        jobs=args.jobs,
-        topology=args.topology,
-    )
-    return format_table(
-        ["Platform", "Deployment lifetime (days)"],
-        sorted(lifetimes.items(), key=lambda kv: kv[1]),
-        title=f"{args.grid * args.grid}-node deployment lifetime by platform "
-        f"({args.topology} topology)",
-    )
+def _accuracy_means(result, by: str) -> dict:
+    """Per value of ``by``, in record order, the mean E6 accuracy metrics."""
+    columns = [
+        result.group_mean(by=by, metric=metric)
+        for metric in ("normalized_error", "support_recovery", "error_vs_float")
+    ]
+    return {key: [column[key] for column in columns] for key in columns[0]}
 
 
-def _run_ipcore(args: argparse.Namespace) -> str:
-    from repro.analysis.ablations import ipcore_parallelism_study
+def _run_study(args: argparse.Namespace) -> str:
+    """``bitwidth``/``lifetime``/``ipcore``/``ser``: run the study's sweep, render a table."""
+    from repro.experiments.runner import run_sweep
 
-    levels = (1, 2, 4, 8, 14, 28, 56, 112) if args.parallelism else (1, 14, 112)
-    results = ipcore_parallelism_study(
-        parallelism_levels=levels,
-        word_length=args.word_length,
-        num_trials=args.trials,
-        snr_db=args.snr_db,
-        rng=args.seed,
-    )
-    table = format_table(
-        ["P", "Cycles", "MF cycles", "Iter cycles", "Time (us)",
-         "Error vs truth", "Support recovery", "Error vs float"],
-        [
-            (
-                r.num_fc_blocks, r.total_cycles, r.matched_filter_cycles,
-                r.iteration_cycles, round(r.execution_time_us, 2),
-                round(r.mean_normalized_error, 4), round(r.mean_support_recovery, 4),
-                round(r.mean_error_vs_float, 6),
-            )
-            for r in results
-        ],
-        title=f"IP core — cycle cost vs accuracy at {args.word_length} bits",
-    )
-    return (
-        f"{table}\n"
-        "estimates are bit-identical at every P (cross-P conformance asserted "
-        "on the raw integer codes); only the schedule changes"
-    )
+    result = run_sweep(_study_spec(args), jobs=getattr(args, "jobs", 1))
+    if args.command == "bitwidth":
+        return format_table(
+            ["Bits", "Error vs truth", "Support recovery", "Error vs float"],
+            [(bits, *means) for bits, means in _accuracy_means(result, "word_length").items()],
+            title="Fixed-point MP accuracy vs word length",
+        )
+    if args.command == "lifetime":
+        if args.trials > 0:
+            return _lifetime_trials_table(result)
+        return format_table(
+            ["Platform", "Deployment lifetime (days)"],
+            sorted(
+                ((record["platform"], record["lifetime_days"]) for record in result.records),
+                key=lambda row: row[1],
+            ),
+            title=f"{args.grid * args.grid}-node deployment lifetime by platform "
+            f"({args.topology} topology)",
+        )
+    if args.command == "ipcore":
+        from repro.hardware.devices import VIRTEX4_XC4VSX55
+        from repro.hardware.timing import max_clock_frequency
 
-
-def _run_ser(args: argparse.Namespace) -> str:
-    import time
-
-    from repro.analysis.ablations import dsss_vs_fsk_ablation
-
-    start = time.perf_counter()
-    curves = dsss_vs_fsk_ablation(
-        snr_points_db=args.snr_db,
-        num_symbols=args.symbols,
-        rng=args.seed,
-        num_frames=args.frames,
-    )
-    elapsed = time.perf_counter() - start
+        clock_hz = max_clock_frequency(VIRTEX4_XC4VSX55, args.word_length)
+        # the schedule depends on the level only, so any trial's cycles will do
+        by_level = {record["num_fc_blocks"]: record for record in result.records}
+        rows = []
+        for level, (error, support, vs_float) in _accuracy_means(result, "num_fc_blocks").items():
+            record = by_level[level]
+            rows.append((
+                level, record["total_cycles"], record["matched_filter_cycles"],
+                record["iteration_cycles"], round(record["total_cycles"] / clock_hz * 1e6, 2),
+                round(error, 4), round(support, 4), round(vs_float, 6),
+            ))
+        table = format_table(
+            ["P", "Cycles", "MF cycles", "Iter cycles", "Time (us)",
+             "Error vs truth", "Support recovery", "Error vs float"],
+            rows,
+            title=f"IP core — cycle cost vs accuracy at {args.word_length} bits",
+        )
+        return (
+            f"{table}\n"
+            "estimates are bit-identical at every P (the conformance tests pin the "
+            "raw integer codes); only the schedule changes"
+        )
+    ser = {
+        (record["scheme"], record["snr_db"]): round(record["symbol_error_rate"], 4)
+        for record in result.records
+    }
     table = format_table(
         ["SNR (dB)", "DS-SS SER", "FSK SER"],
-        [
-            (d.snr_db, round(d.symbol_error_rate, 4), round(f.symbol_error_rate, 4))
-            for d, f in zip(curves["DSSS"], curves["FSK"])
-        ],
+        [(snr, ser["DSSS", snr], ser["FSK", snr]) for snr in args.snr_db],
         title="E7 — symbol error rate, DS-SS vs FSK",
     )
-    return f"{table}\nelapsed: {elapsed:.3f}s"
+    return f"{table}\nelapsed: {result.stats.elapsed_s:.3f}s"
 
 
 def _parse_axis_value(token: str) -> int | float | str | bool:
@@ -1129,16 +1146,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.analysis.report import comparison_report
 
         output = comparison_report(num_paths=args.num_paths)
-    elif args.command == "bitwidth":
-        output = _run_bitwidth(args)
-    elif args.command == "lifetime":
-        output = _run_lifetime(args)
+    elif args.command in ("bitwidth", "lifetime", "ipcore", "ser"):
+        output = _run_study(args)
     elif args.command == "estimate":
         output = _run_estimate(args)
-    elif args.command == "ipcore":
-        output = _run_ipcore(args)
-    elif args.command == "ser":
-        output = _run_ser(args)
     elif args.command == "scenarios":
         output = _run_scenarios(args)
     elif args.command == "sweep":

@@ -35,9 +35,6 @@ __all__ = [
     "build_signal_matrices",
     "detect_symbols",
     "rake_combine",
-    "PassbandFrontEnd",
-    "upconvert",
-    "downconvert",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -48,5 +45,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "matched_filter": ("matched_filter", "correlate_full", "normalized_correlation"),
     "signal_matrix": ("SignalMatrices", "build_signal_matrices"),
     "detection": ("detect_symbols", "rake_combine"),
-    "passband": ("PassbandFrontEnd", "upconvert", "downconvert"),
 })

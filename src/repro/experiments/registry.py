@@ -55,10 +55,6 @@ __all__ = [
     "get_scenario",
     "list_scenarios",
     "scenario_names",
-    "fixedpoint_trial_metrics",
-    "trial_channel_problem",
-    "trial_float_reference",
-    "trial_ipcore_engine",
     "TABLE3_PLATFORM_ENERGIES_UJ",
 ]
 
@@ -167,11 +163,6 @@ def _config_from(params: Mapping[str, Any]) -> AquaModemConfig:
     return _config(_config_key(params))
 
 
-def config_params(config: AquaModemConfig) -> dict[str, Any]:
-    """``config`` as flat trial parameters (inverse of :func:`_config_from`)."""
-    return {name: getattr(config, name) for name in _CONFIG_FIELDS}
-
-
 @functools.lru_cache(maxsize=8)
 def _matrices(walsh_symbols: int, spreading_chips: int, samples_per_chip: int) -> SignalMatrices:
     from repro.dsp.signal_matrix import composite_signal_matrices
@@ -252,15 +243,7 @@ def _platform_comparison(num_paths: int) -> PlatformComparison:
     return compare_platforms(num_paths=num_paths)
 
 
-# --------------------------------------------------------------------------- #
-# public problem builders (shared with the IP-core parallelism study)
-#
-# `repro.analysis.ablations.ipcore_parallelism_study` estimates the very
-# problems the scenario trials see.  These helpers expose the memoised
-# builders above, so both draw the same RNG streams and share the cached
-# channel draws and float references within a process.
-# --------------------------------------------------------------------------- #
-def trial_channel_problem(params: Mapping[str, Any], seed: int):
+def _trial_channel_problem(params: Mapping[str, Any], seed: int):
     """The (channel, true coefficients, received) problem of one trial point."""
     return _channel_problem(
         _config_key(params),
@@ -270,7 +253,7 @@ def trial_channel_problem(params: Mapping[str, Any], seed: int):
     )
 
 
-def trial_float_reference(params: Mapping[str, Any], seed: int):
+def _trial_float_reference(params: Mapping[str, Any], seed: int):
     """The floating-point MP estimate of one trial point's problem."""
     config_key = _config_key(params)
     return _float_estimate(
@@ -282,19 +265,7 @@ def trial_float_reference(params: Mapping[str, Any], seed: int):
     )
 
 
-def trial_ipcore_engine(
-    params: Mapping[str, Any], num_fc_blocks: int, word_length: int,
-) -> BatchIPCoreEngine:
-    """The (memoised) batched IP-core engine of one trial point.
-
-    The engine exposes its scalar :class:`~repro.core.ipcore.simulator.IPCoreSimulator`
-    as ``.core`` — the per-trial oracle of the ``ipcore-parallelism``
-    scenario — so both datapath routes share one set of quantised matrices.
-    """
-    return _ipcore_engine(_config_key(params), int(num_fc_blocks), int(word_length))
-
-
-def fixedpoint_trial_metrics(channel, true_f, reference, estimate) -> dict[str, Any]:
+def _fixedpoint_trial_metrics(channel, true_f, reference, estimate) -> dict[str, Any]:
     """The E6 accuracy metrics of one fixed-point estimate.
 
     Shared by the per-trial oracles and the ``run_batch`` functions, so both
@@ -399,8 +370,8 @@ def _grouped_problems(points, group_key):
             )
             if problem_key not in problems:
                 problems[problem_key] = (
-                    *trial_channel_problem(params, seed),
-                    trial_float_reference(params, seed),
+                    *_trial_channel_problem(params, seed),
+                    _trial_float_reference(params, seed),
                 )
             group.append(problems[problem_key])
         yield key, rows, group, np.stack([problem[2] for problem in group])
@@ -412,10 +383,10 @@ def _fixedpoint_bitwidth_trial(params: Mapping[str, Any], seed: int) -> dict[str
     The per-trial oracle: the scalar executable specification
     :meth:`~repro.core.fixedpoint_mp.FixedPointMatchingPursuit.estimate`.
     """
-    channel, true_f, received = trial_channel_problem(params, seed)
+    channel, true_f, received = _trial_channel_problem(params, seed)
     estimator = _fixed_point_estimator(_config_key(params), int(params["word_length"]))
-    return fixedpoint_trial_metrics(
-        channel, true_f, trial_float_reference(params, seed), estimator.estimate(received)
+    return _fixedpoint_trial_metrics(
+        channel, true_f, _trial_float_reference(params, seed), estimator.estimate(received)
     )
 
 
@@ -435,7 +406,7 @@ def _fixedpoint_bitwidth_batch(points) -> list[dict[str, Any]]:
             estimates = _fixed_point_estimator(config_key, word_length).estimate_batch(received)
             for position, (row, problem) in enumerate(zip(rows, problems)):
                 channel, true_f, _, reference = problem
-                metrics[row] = fixedpoint_trial_metrics(
+                metrics[row] = _fixedpoint_trial_metrics(
                     channel, true_f, reference, estimates[position]
                 )
     _FIXEDPOINT_TRIALS.inc(len(points))
@@ -443,7 +414,7 @@ def _fixedpoint_bitwidth_batch(points) -> list[dict[str, Any]]:
 
 
 def _ipcore_metrics(channel, true_f, reference, estimate, schedule) -> dict[str, Any]:
-    metrics = fixedpoint_trial_metrics(channel, true_f, reference, estimate)
+    metrics = _fixedpoint_trial_metrics(channel, true_f, reference, estimate)
     metrics["total_cycles"] = schedule.total_cycles
     metrics["matched_filter_cycles"] = schedule.matched_filter_cycles
     metrics["iteration_cycles"] = schedule.iteration_cycles
@@ -460,13 +431,13 @@ def _ipcore_parallelism_trial(params: Mapping[str, Any], seed: int) -> dict[str,
     Ns/P.  The per-trial oracle walks the scalar FC blocks
     (:meth:`~repro.core.ipcore.simulator.IPCoreSimulator.estimate`).
     """
-    channel, true_f, received = trial_channel_problem(params, seed)
-    engine = trial_ipcore_engine(
-        params, int(params["num_fc_blocks"]), int(params["word_length"])
+    channel, true_f, received = _trial_channel_problem(params, seed)
+    engine = _ipcore_engine(
+        _config_key(params), int(params["num_fc_blocks"]), int(params["word_length"])
     )
     run = engine.core.estimate(received)
     return _ipcore_metrics(
-        channel, true_f, trial_float_reference(params, seed), run.result, run.schedule
+        channel, true_f, _trial_float_reference(params, seed), run.result, run.schedule
     )
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "BatchLinkEngine",
     "LinkSimulator",
     "LinkResult",
-    "symbol_error_rate_curve",
     "ModemEnergyBudget",
     "PacketEnergyBreakdown",
     "FrameSynchronizer",
@@ -42,7 +41,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "frame": ("bits_to_symbols", "symbols_to_bits", "random_bits"),
     "transmitter": ("Transmitter",),
     "receiver": ("BatchReceiverOutput", "Receiver", "ReceiverOutput"),
-    "link": ("LinkSimulator", "LinkResult", "symbol_error_rate_curve"),
+    "link": ("LinkSimulator", "LinkResult"),
     "batch": ("BatchLinkEngine",),
     "energy_budget": ("ModemEnergyBudget", "PacketEnergyBreakdown"),
     "synchronization": ("FrameSynchronizer", "SynchronizationResult"),

@@ -22,10 +22,14 @@ whole Table 1 is regenerated from first principles by the E1 benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.utils.validation import check_integer, check_positive
 
-__all__ = ["AquaModemConfig"]
+if TYPE_CHECKING:
+    from repro.dsp.signal_matrix import SignalMatrices
+
+__all__ = ["AquaModemConfig", "aquamodem_signal_matrices"]
 
 
 @dataclass(frozen=True)
@@ -175,3 +179,14 @@ class AquaModemConfig:
             ("Samples/time guard", "Nt", self.samples_per_guard),
             ("Total receive vector samples", "Rv", self.receive_vector_samples),
         ]
+
+
+def aquamodem_signal_matrices(config: AquaModemConfig | None = None) -> SignalMatrices:
+    """The S/A/a matrices for the AquaModem pilot waveform (224 x 112 geometry)."""
+    # numpy loads here, not with the configuration the control plane reads
+    from repro.dsp.signal_matrix import composite_signal_matrices
+
+    config = config if config is not None else AquaModemConfig()
+    return composite_signal_matrices(
+        config.walsh_symbols, config.spreading_chips, config.samples_per_chip
+    )

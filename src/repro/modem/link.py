@@ -30,7 +30,7 @@ from repro.modem.transmitter import Transmitter
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_integer
 
-__all__ = ["LinkResult", "LinkSimulator", "symbol_error_rate_curve"]
+__all__ = ["LinkResult", "LinkSimulator"]
 
 
 @dataclass(frozen=True)
@@ -184,16 +184,3 @@ class LinkSimulator:
         """SER at each SNR point (the batched engine pipelines the points)."""
         return self.engine.run_curve(scheme, snr_points_db, num_symbols, num_frames)
 
-
-def symbol_error_rate_curve(
-    scheme: str,
-    snr_points_db: list[float],
-    num_symbols: int = 200,
-    config: AquaModemConfig | None = None,
-    rng: np.random.Generator | int | None = None,
-    num_frames: int = 10,
-) -> list[LinkResult]:
-    """SER at each SNR point for one scheme (one series of the E7 figure)."""
-    config = config if config is not None else AquaModemConfig()
-    simulator = LinkSimulator(config=config, rng=rng)
-    return simulator.run_curve(scheme, snr_points_db, num_symbols, num_frames)

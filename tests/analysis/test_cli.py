@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from repro.cli import _lifetime_trials_spec, build_parser, main
-from repro.experiments import run_sweep
+from repro.cli import _lifetime_trials_spec, _study_spec, build_parser, main
+from repro.experiments import get_scenario, run_sweep
 from tests.experiments.oracle import oracle_records, scalar_oracles
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestParser:
@@ -14,7 +18,10 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(["table1"])
         assert args.command == "table1"
-        for command in ("table2", "figure6", "table3", "report", "bitwidth", "lifetime", "estimate"):
+        for command in (
+            "table2", "figure6", "table3", "report", "bitwidth", "lifetime", "estimate",
+            "ipcore", "ser",
+        ):
             assert parser.parse_args([command]).command == command
 
     def test_global_num_paths_option(self):
@@ -24,6 +31,95 @@ class TestParser:
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestStudyGoldenTables:
+    """The study subcommands render their scenario sweeps; their tables are
+    pinned byte for byte in ``golden/``."""
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["ipcore"], "ipcore.txt"),
+        (["ipcore", "--parallelism", "--trials", "2"], "ipcore_parallelism_trials_2.txt"),
+        (["bitwidth", "--trials", "2"], "bitwidth_trials_2.txt"),
+        (["lifetime", "--grid", "3", "--battery-kj", "50"], "lifetime_grid_3_battery_kj_50.txt"),
+        (["bitwidth"], "bitwidth.txt"),
+        (["lifetime"], "lifetime.txt"),
+    ], ids=["ipcore", "ipcore-parallelism", "bitwidth", "lifetime",
+            "bitwidth-default", "lifetime-default"])
+    def test_table_is_byte_identical(self, argv, golden, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_ser_renders_the_paired_sweep(self, capsys):
+        """``repro ser`` prints one row per SNR point, read from the records
+        of a one-replicate ``modem-ser-vs-snr`` sweep."""
+        argv = ["ser", "--snr-db=-6,0", "--symbols", "24", "--frames", "2", "--seed", "3"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        spec = _study_spec(build_parser().parse_args(argv))
+        assert spec.seed.base_seed == 3 and spec.seed.replicates == 1
+        ser = {(r["scheme"], r["snr_db"]): r["symbol_error_rate"] for r in run_sweep(spec).records}
+        rows = [[cell.strip() for cell in line.split("|")] for line in lines[3:5]]
+        assert [row[0] for row in rows] == ["-6", "0"]
+        for row, snr in zip(rows, (-6.0, 0.0)):
+            assert float(row[1]) == round(ser["DSSS", snr], 4)
+            assert float(row[2]) == round(ser["FSK", snr], 4)
+        assert lines[-1].startswith("elapsed: ")
+
+
+class TestStudySpecs:
+    """Each study flag lands on its scenario's spec; what no flag names is
+    the registered scenario's.  A one-value axis folds into ``base``."""
+
+    @staticmethod
+    def _spec(*argv):
+        return _study_spec(build_parser().parse_args(list(argv)))
+
+    def test_bitwidth_trials_are_replicates_and_snr_a_base_value(self):
+        spec = self._spec("bitwidth", "--trials", "3", "--snr-db", "12")
+        registered = get_scenario("fixedpoint-bitwidth").spec
+        assert spec.scenario == "fixedpoint-bitwidth"
+        assert spec.seed.replicates == 3 and spec.seed.base_seed == registered.seed.base_seed
+        assert spec.base == {**registered.base, "snr_db": 12.0}
+        assert spec.grid == registered.grid
+
+    def test_lifetime_pins_one_interval_and_topology(self):
+        spec = self._spec("lifetime", "--grid", "4", "--battery-kj", "20",
+                          "--report-interval-s", "90", "--topology", "random")
+        registered = get_scenario("network-lifetime").spec
+        assert spec.scenario == "network-lifetime"
+        assert spec.grid == {}
+        assert spec.zipped == registered.zipped
+        assert spec.base == {**registered.base, "grid_rows": 4, "grid_cols": 4,
+                             "battery_capacity_j": 20000.0,
+                             "report_interval_s": 90.0, "topology": "random"}
+        assert spec.seed == registered.seed
+
+    @pytest.mark.parametrize("flags, levels", [
+        ([], (1, 14, 112)),
+        (["--parallelism"], (1, 2, 4, 8, 14, 28, 56, 112)),
+    ], ids=["table2", "parallelism"])
+    def test_ipcore_levels_word_length_and_seed_policy(self, flags, levels):
+        spec = self._spec("ipcore", *flags, "--word-length", "10", "--trials", "5",
+                          "--seed", "9", "--snr-db", "20")
+        assert spec.scenario == "ipcore-parallelism"
+        assert spec.grid == {"num_fc_blocks": levels}
+        assert (spec.base["word_length"], spec.base["snr_db"]) == (10, 20.0)
+        assert (spec.seed.base_seed, spec.seed.replicates) == (9, 5)
+
+    def test_ser_snr_is_the_axis_and_one_replicate_per_point(self):
+        spec = self._spec("ser", "--snr-db=-3,6", "--symbols", "24", "--frames", "3",
+                          "--seed", "4")
+        registered = get_scenario("modem-ser-vs-snr").spec
+        assert spec.scenario == "modem-ser-vs-snr"
+        assert spec.grid == {"scheme": registered.grid["scheme"], "snr_db": (-3.0, 6.0)}
+        assert spec.base == {**registered.base, "num_symbols": 24, "num_frames": 3}
+        assert (spec.seed.base_seed, spec.seed.replicates) == (4, 1)
+
+    @pytest.mark.parametrize("command", ["bitwidth", "ipcore"])
+    def test_trials_below_one_is_rejected(self, command):
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            main([command, "--trials", "0"])
 
 
 class TestMain:

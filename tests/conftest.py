@@ -31,12 +31,11 @@ else:
     settings.register_profile("dev", max_examples=25, deadline=None)
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
-from repro.analysis.ablations import aquamodem_signal_matrices
 from repro.channel.multipath import MultipathChannel, random_sparse_channel
 from repro.dsp.signal_matrix import SignalMatrices, build_signal_matrices
 from repro.dsp.sampling import upsample_chips
 from repro.dsp.spreading import composite_waveform_set
-from repro.modem.config import AquaModemConfig
+from repro.modem.config import AquaModemConfig, aquamodem_signal_matrices
 
 
 @pytest.fixture(scope="session")

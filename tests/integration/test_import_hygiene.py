@@ -1,11 +1,11 @@
 """Each ``repro`` process imports only what its subcommand runs.
 
 The checks run in fresh interpreters, since what a process has imported
-depends on everything imported before it.  scipy backs only
-:mod:`repro.dsp.passband`, so a CLI start, ``repro scenarios`` and a
-hardware-only sweep load none of it, and every registered scenario runs
-with scipy blocked outright.  networkx is a test-only oracle: every
-network sweep runs with it blocked and writes the same records.  numpy backs
+depends on everything imported before it.  A CLI start, ``repro
+scenarios`` and a hardware-only sweep load neither numpy nor networkx.
+networkx is a test-only oracle: every network sweep runs with it blocked
+and writes the same records.  scipy is no dependency at all: the CLI and
+every default sweep run with it blocked.  numpy backs
 only the engines, so the control plane runs with numpy blocked outright:
 ``repro scenarios``, the closed-form ``platform-energy`` sweep, a fully
 cached resume of every scenario, and the trace and warehouse commands.
@@ -25,7 +25,7 @@ from repro.experiments import scenario_names
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-HEAVY = ("numpy", "scipy", "networkx")
+HEAVY = ("numpy", "networkx")
 
 PACKAGES = (
     "repro", "repro.analysis", "repro.channel", "repro.core", "repro.core.ipcore",
@@ -46,8 +46,8 @@ sys.meta_path.insert(0, Block())
 '''
 
 
-BLOCK_SCIPY = _block("scipy")
 BLOCK_NUMPY = _block("numpy")
+BLOCK_SCIPY = _block("scipy")
 BLOCK_NETWORKX = _block("networkx")
 
 #: ``repro <argv>`` in-process; writes which HEAVY modules it loaded to argv[1].
@@ -83,7 +83,7 @@ def _repro(tmp_path: Path, *argv: str, block: str = "") -> list[str]:
     return json.loads(loaded.read_text())
 
 
-def test_importing_the_cli_loads_no_numpy_scipy_or_networkx(tmp_path):
+def test_importing_the_cli_loads_neither_numpy_nor_networkx(tmp_path):
     done = _python(
         "import json, sys, repro.cli\n"
         f"print(json.dumps([name for name in {HEAVY!r} if name in sys.modules]))",
@@ -97,19 +97,17 @@ def test_importing_the_cli_loads_no_numpy_scipy_or_networkx(tmp_path):
     ["scenarios"],
     ["sweep", "platform-energy", "--no-cache"],
 ], ids=["scenarios", "sweep-platform-energy"])
-def test_command_loads_neither_scipy_nor_networkx(argv, tmp_path):
-    loaded = _repro(tmp_path, *argv)
-    assert "scipy" not in loaded and "networkx" not in loaded
+def test_command_loads_neither_numpy_nor_networkx(argv, tmp_path):
+    assert _repro(tmp_path, *argv) == []
 
 
 def test_help_runs_without_scipy(tmp_path):
-    assert "scipy" not in _repro(tmp_path, "--help", block=BLOCK_SCIPY)
+    _repro(tmp_path, "--help", block=BLOCK_SCIPY)
 
 
 @pytest.mark.parametrize("scenario", scenario_names())
 def test_default_sweep_runs_without_scipy(scenario, tmp_path):
-    loaded = _repro(tmp_path, "sweep", scenario, "--no-cache", block=BLOCK_SCIPY)
-    assert "scipy" not in loaded
+    _repro(tmp_path, "sweep", scenario, "--no-cache", block=BLOCK_SCIPY)
     assert (tmp_path / "results" / "sweeps" / scenario / "results.jsonl").is_file()
 
 
@@ -128,8 +126,8 @@ def test_network_sweep_runs_without_networkx(scenario, tmp_path):
 
 @pytest.mark.parametrize("scenario", scenario_names())
 def test_cached_resume_runs_without_numpy(scenario, tmp_path):
-    """A scipy-free miss fills the default cache; its 100%-hit resume needs no numpy."""
-    _repro(tmp_path, "sweep", scenario, block=BLOCK_SCIPY)
+    """A miss fills the default cache; its 100%-hit resume needs no numpy."""
+    _repro(tmp_path, "sweep", scenario)
     miss = tmp_path / "results" / "sweeps" / scenario
     hit = tmp_path / "hit"
     _repro(tmp_path, "sweep", scenario, "--output", str(hit), block=BLOCK_NUMPY)
@@ -158,8 +156,8 @@ def test_platform_energy_sweep_and_its_readers_run_without_numpy(tmp_path):
 
 
 def test_blocking_scipy_does_block_it(tmp_path):
-    """The guard the scipy-free runs rely on: a passband import really fails."""
-    done = _python(f"import sys\n{BLOCK_SCIPY}\nimport repro.dsp.passband", cwd=tmp_path)
+    """The guard the scipy-free runs rely on: a scipy import really fails."""
+    done = _python(f"import sys\n{BLOCK_SCIPY}\nimport scipy.signal", cwd=tmp_path)
     assert done.returncode != 0
     assert "No module named 'scipy" in done.stderr
 
@@ -187,9 +185,9 @@ def test_every_export_resolves_in_a_fresh_process(tmp_path):
         "    for name in module.__all__:\n"
         "        getattr(module, name)\n"
         "        assert name in dir(module), (package, name)\n"
-        "from repro.dsp import upconvert\n"
+        "from repro.dsp import walsh_matrix\n"
         "import repro.dsp\n"
-        "assert repro.dsp.upconvert is upconvert\n"
+        "assert repro.dsp.walsh_matrix is walsh_matrix\n"
         "print('ok')",
         cwd=tmp_path,
     )

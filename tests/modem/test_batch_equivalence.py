@@ -21,7 +21,7 @@ from repro.core.matching_pursuit import (
 from repro.dsp.signal_matrix import composite_signal_matrices
 from repro.experiments.spec import SeedPolicy
 from repro.modem.config import AquaModemConfig
-from repro.modem.link import LinkSimulator, symbol_error_rate_curve
+from repro.modem.link import LinkSimulator
 
 SNR_POINTS_DB = (-6.0, 0.0, 6.0)
 
@@ -61,8 +61,8 @@ class TestLinkEquivalence:
             _perframe(simulator, scheme, snr, num_symbols=36, num_frames=3)
             for snr in SNR_POINTS_DB
         ]
-        batched = symbol_error_rate_curve(
-            scheme, list(SNR_POINTS_DB), num_symbols=36, rng=3, num_frames=3
+        batched = LinkSimulator(rng=3).run_curve(
+            scheme, list(SNR_POINTS_DB), num_symbols=36, num_frames=3
         )
         assert [_counts(r) for r in batched] == [_counts(r) for r in reference]
 

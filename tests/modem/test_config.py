@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.modem.config import AquaModemConfig
+from repro.modem.config import AquaModemConfig, aquamodem_signal_matrices
 
 
 class TestTable1DerivedQuantities:
@@ -86,3 +86,9 @@ class TestValidation:
         assert config.chips_per_symbol == 60
         assert config.samples_per_symbol == 120
         assert config.bits_per_symbol == 2
+
+
+class TestAquamodemSignalMatrices:
+    def test_geometry(self):
+        matrices = aquamodem_signal_matrices()
+        assert matrices.S.shape == (224, 112)

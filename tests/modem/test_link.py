@@ -8,7 +8,7 @@ import pytest
 
 from repro.channel.multipath import MultipathChannel
 from repro.modem.config import AquaModemConfig
-from repro.modem.link import LinkResult, LinkSimulator, symbol_error_rate_curve
+from repro.modem.link import LinkResult, LinkSimulator
 
 import numpy as np
 
@@ -68,17 +68,15 @@ class TestLinkSimulator:
             simulator.run_dsss(10.0, num_symbols=0)
 
 
-class TestSymbolErrorRateCurve:
+class TestRunCurve:
     def test_curve_structure(self):
-        results = symbol_error_rate_curve(
-            "FSK", [-5.0, 5.0], num_symbols=24, rng=0, num_frames=3
-        )
+        results = LinkSimulator(rng=0).run_curve("FSK", [-5.0, 5.0], num_symbols=24, num_frames=3)
         assert [r.snr_db for r in results] == [-5.0, 5.0]
         assert all(r.scheme == "FSK" for r in results)
 
     def test_fsk_error_rate_non_increasing_with_snr(self):
-        results = symbol_error_rate_curve(
-            "FSK", [-10.0, 0.0, 15.0], num_symbols=60, rng=1, num_frames=6
+        results = LinkSimulator(rng=1).run_curve(
+            "FSK", [-10.0, 0.0, 15.0], num_symbols=60, num_frames=6
         )
         rates = [r.symbol_error_rate for r in results]
         assert rates[0] >= rates[-1]
