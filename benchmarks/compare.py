@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare two pytest-benchmark JSON files and fail on regressions.
+"""Compare two pytest-benchmark JSON files, or check a committed ledger.
 
 Used by CI: the previous successful run's benchmark artifact is downloaded
 (when available) and compared against the current run's JSON; a benchmark
@@ -21,6 +21,16 @@ Usage::
 ``--require`` marks benchmarks that must exist in the current file (e.g. the
 link-batch, network-batch, fixedpoint-batch and ipcore-batch benchmarks),
 guarding against a gate that silently compares nothing.
+
+Given one file, a ``BENCH_<pr>.json`` ledger (it has an ``end_to_end``
+key), it checks the ledger instead::
+
+    python benchmarks/compare.py BENCH_19.json
+
+For every workload and end-to-end metric, the change's median must not be
+worse than the parent's median by more than the metric's bound in
+``BENCHMARK.json`` (relative, in the metric's ``better`` direction).
+Exit 1 on a breach.
 """
 
 from __future__ import annotations
@@ -29,6 +39,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def load_benchmarks(path: str) -> dict[str, dict] | None:
@@ -87,10 +99,54 @@ def compare(
     return rows, failures
 
 
+def check_ledger(ledger: dict, benchmark: dict) -> tuple[list[str], list[str]]:
+    """One line per workload x end-to-end metric of a ledger, plus its breaches.
+
+    The change's median is compared with the parent's as a relative change;
+    it breaches when it is worse, in the metric's ``better`` direction, by
+    more than the metric's bound.
+    """
+    lines: list[str] = []
+    breaches: list[str] = []
+    for workload, result in ledger["end_to_end"].items():
+        for entry in benchmark["end_to_end"]:
+            name, bound = entry["name"], entry["bound"]
+            medians = result["metrics"][name]
+            parent, change = medians["parent"]["median"], medians["change"]["median"]
+            shift = (change - parent) / parent
+            worse_by = shift if entry["better"] == "lower" else -shift
+            verdict = "BREACH" if worse_by > bound else "ok"
+            lines.append(f"{workload:<12} {name:<15} {parent:>11.4g} {change:>11.4g} "
+                         f"{shift:>+8.1%} {bound:>6.0%}  {verdict}")
+            if worse_by > bound:
+                breaches.append(f"{workload} {name}: {shift:+.1%} against a {bound:.0%} bound")
+    return lines, breaches
+
+
+def main_ledger(path: str) -> int:
+    """Check one ``BENCH_<pr>.json`` ledger against ``BENCHMARK.json``'s bounds."""
+    ledger = json.loads(Path(path).read_text())
+    if "end_to_end" not in ledger:
+        print(f"error: {path!r} has no 'end_to_end' key; give two benchmark files to compare")
+        return 2
+    lines, breaches = check_ledger(ledger, json.loads(BENCHMARK.read_text()))
+    print(f"{'workload':<12} {'metric':<15} {'parent':>11} {'change':>11} "
+          f"{'shift':>8} {'bound':>6}  verdict")
+    print("\n".join(lines))
+    if breaches:
+        print()
+        for breach in breaches:
+            print(f"FAIL {breach}")
+        return 1
+    print(f"\nall {len(lines)} end-to-end medians within their bounds")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("baseline", help="previous run's benchmark JSON")
-    parser.add_argument("current", help="this run's benchmark JSON")
+    parser.add_argument("baseline", help="previous run's benchmark JSON, or a BENCH_<pr>.json "
+                        "ledger to check on its own")
+    parser.add_argument("current", nargs="?", help="this run's benchmark JSON")
     parser.add_argument("--max-slowdown", type=float, default=1.30,
                         help="fail when current/baseline exceeds this (default: 1.30)")
     parser.add_argument("--metric", choices=("min", "mean", "median"), default="min",
@@ -99,6 +155,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="fail unless a current benchmark name contains this "
                         "substring (repeatable)")
     args = parser.parse_args(argv)
+    if args.current is None:
+        return main_ledger(args.baseline)
 
     current = load_benchmarks(args.current)
     if current is None:

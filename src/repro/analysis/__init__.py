@@ -12,6 +12,9 @@
 * :mod:`repro.analysis.table3` — regenerate the platform comparison and the
   210x / 52x headline ratios.
 * :mod:`repro.analysis.report` — paper-vs-measured report rendering.
+* :mod:`repro.analysis.export` — CSV / JSON exports of the regenerated data.
+* :mod:`repro.analysis.intervals` — binomial and normal confidence intervals
+  and the streaming aggregators of the adaptive sweeps.
 
 The extension studies (E6 bit width, E7 DS-SS vs FSK, E8 parallelism, E9
 lifetime) are scenario sweeps of :mod:`repro.experiments.registry`; the
@@ -30,9 +33,6 @@ __all__ = [
     "Figure6Point",
     "reproduce_table3",
     "Table3Row",
-    "SensitivityPoint",
-    "headline_sensitivity",
-    "PERTURBABLE_PARAMETERS",
     "export_all",
     "write_csv",
     "comparison_report",
@@ -44,7 +44,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "table2": ("reproduce_table2", "Table2Row"),
     "figure6": ("reproduce_figure6", "Figure6Point"),
     "table3": ("reproduce_table3", "Table3Row"),
-    "sensitivity": ("SensitivityPoint", "headline_sensitivity", "PERTURBABLE_PARAMETERS"),
     "export": ("export_all", "write_csv"),
     "report": ("comparison_report",),
 })

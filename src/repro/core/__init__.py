@@ -10,8 +10,7 @@ Modules
   datapaths, pinned bit-identical on raw integer codes).
 * :mod:`repro.core.ipcore` — a functional + cycle-level simulator of the
   Filter-and-Cancel IP core of Figure 5, parameterised by the number of FC
-  blocks (level of parallelism), with a batched engine and a three-way
-  conformance harness (IP core == fixed-point MP == float reference).
+  blocks (level of parallelism), with a batched engine bit-identical to it.
 * :mod:`repro.core.dse` — the design-space exploration engine that sweeps
   parallelism, bit width and FPGA device and evaluates area / timing /
   throughput / power / energy for each point (Tables 2-3, Figure 6).
@@ -40,7 +39,6 @@ __all__ = [
     "IPCoreSimulator",
     "BatchIPCoreEngine",
     "BatchIPCoreRun",
-    "check_conformance",
     "DesignPoint",
     "DesignPointEvaluation",
     "DesignSpaceExplorer",
@@ -59,7 +57,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "ipcore": (
         "BatchIPCoreEngine", "BatchIPCoreRun", "FilterAndCancelBlock", "IPCoreConfig",
-        "IPCoreSimulator", "check_conformance",
+        "IPCoreSimulator",
     ),
     "dse": ("DesignPoint", "DesignPointEvaluation", "DesignSpaceExplorer"),
 })

@@ -27,8 +27,9 @@ This package mirrors that structure in software:
 * :class:`~repro.core.ipcore.batch.BatchIPCoreEngine` — the batched engine:
   whole trial stacks through the same blocks, vectorised over the trial
   axis, with the schedule evaluated in closed form per configuration.
-* :mod:`~repro.core.ipcore.conformance` — the three-way conformance harness
-  (IP core == fixed-point MP == float reference within documented bounds).
+
+``tests/conformance/ipcore.py`` holds the three-way conformance harness (IP
+core == fixed-point MP == float reference within documented bounds).
 """
 
 from repro._lazy import lazy_exports
@@ -46,9 +47,6 @@ __all__ = [
     "IPCoreSimulator",
     "BatchIPCoreEngine",
     "BatchIPCoreRun",
-    "ConformanceCell",
-    "ConformanceReport",
-    "check_conformance",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -57,5 +55,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "control": ("ControlUnit", "CyclePhase", "ScheduleBreakdown"),
     "simulator": ("IPCoreConfig", "IPCoreRun", "IPCoreSimulator"),
     "batch": ("BatchIPCoreEngine", "BatchIPCoreRun"),
-    "conformance": ("ConformanceCell", "ConformanceReport", "check_conformance"),
 })

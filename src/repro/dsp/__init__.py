@@ -7,8 +7,7 @@ the paper's modem and Matching Pursuits kernel depend on:
 * maximal-length (m-) sequences generated by LFSRs (:mod:`repro.dsp.msequence`);
 * the composite Walsh x m-sequence spreading waveforms of Figure 4
   (:mod:`repro.dsp.spreading`);
-* chip-to-sample conversion and pulse shaping (:mod:`repro.dsp.sampling`);
-* matched filtering / correlation (:mod:`repro.dsp.matched_filter`);
+* chip-to-sample conversion with rectangular pulses (:mod:`repro.dsp.sampling`);
 * the S, A and a signal matrices of Section III (:mod:`repro.dsp.signal_matrix`);
 * symbol detection and RAKE combining (:mod:`repro.dsp.detection`);
 * DS-SS and non-coherent FSK modulators/demodulators (:mod:`repro.dsp.modulation`).
@@ -27,10 +26,6 @@ __all__ = [
     "composite_waveform_set",
     "spread_symbols",
     "upsample_chips",
-    "rectangular_pulse_shape",
-    "matched_filter",
-    "correlate_full",
-    "normalized_correlation",
     "SignalMatrices",
     "build_signal_matrices",
     "detect_symbols",
@@ -41,8 +36,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "walsh": ("walsh_matrix", "walsh_codes", "is_orthogonal_set"),
     "msequence": ("LinearFeedbackShiftRegister", "m_sequence", "periodic_autocorrelation"),
     "spreading": ("composite_waveform", "composite_waveform_set", "spread_symbols"),
-    "sampling": ("upsample_chips", "rectangular_pulse_shape"),
-    "matched_filter": ("matched_filter", "correlate_full", "normalized_correlation"),
+    "sampling": ("upsample_chips",),
     "signal_matrix": ("SignalMatrices", "build_signal_matrices"),
     "detection": ("detect_symbols", "rake_combine"),
 })

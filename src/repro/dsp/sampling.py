@@ -1,18 +1,18 @@
-"""Chip-rate to sample-rate conversion and pulse shaping.
+"""Chip-rate to sample-rate conversion.
 
 The AquaModem samples at twice the chip rate (``Ts = Tc / 2``, Table 1), so a
-56-chip composite waveform becomes a 112-sample discrete waveform.  The
-baseline pulse shape is rectangular (sample-and-hold of the chip value); a
-raised-cosine option is provided for experiments on band-limited shaping.
+56-chip composite waveform becomes a 112-sample discrete waveform.  The pulse
+shape is rectangular (sample-and-hold of the chip value), the waveform the
+paper's Table 1 parameters describe.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.validation import check_integer, check_in_range, ensure_1d_array
+from repro.utils.validation import check_integer, ensure_1d_array
 
-__all__ = ["upsample_chips", "rectangular_pulse_shape", "raised_cosine_taps", "shape_chips"]
+__all__ = ["upsample_chips"]
 
 
 def upsample_chips(chips: np.ndarray, samples_per_chip: int) -> np.ndarray:
@@ -24,64 +24,3 @@ def upsample_chips(chips: np.ndarray, samples_per_chip: int) -> np.ndarray:
     chips = ensure_1d_array("chips", chips)
     samples_per_chip = check_integer("samples_per_chip", samples_per_chip, minimum=1)
     return np.repeat(chips, samples_per_chip)
-
-
-def rectangular_pulse_shape(samples_per_chip: int) -> np.ndarray:
-    """Unit-energy rectangular pulse of ``samples_per_chip`` samples."""
-    samples_per_chip = check_integer("samples_per_chip", samples_per_chip, minimum=1)
-    return np.full(samples_per_chip, 1.0 / np.sqrt(samples_per_chip))
-
-
-def raised_cosine_taps(
-    samples_per_chip: int, span_chips: int = 6, rolloff: float = 0.25
-) -> np.ndarray:
-    """Raised-cosine pulse-shaping filter taps.
-
-    Parameters
-    ----------
-    samples_per_chip:
-        Oversampling factor.
-    span_chips:
-        Filter length in chips (the filter spans ``span_chips`` chip periods).
-    rolloff:
-        Roll-off factor in [0, 1].
-
-    Returns
-    -------
-    numpy.ndarray
-        Filter taps normalised to unit peak.
-    """
-    samples_per_chip = check_integer("samples_per_chip", samples_per_chip, minimum=1)
-    span_chips = check_integer("span_chips", span_chips, minimum=1)
-    rolloff = check_in_range("rolloff", rolloff, 0.0, 1.0)
-    half = span_chips * samples_per_chip // 2
-    t = np.arange(-half, half + 1, dtype=np.float64) / samples_per_chip
-    taps = np.sinc(t)
-    if rolloff > 0.0:
-        denom = 1.0 - (2.0 * rolloff * t) ** 2
-        cos_term = np.cos(np.pi * rolloff * t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shaped = np.where(
-                np.abs(denom) > 1e-12,
-                cos_term / denom,
-                np.pi / 4.0 * np.sinc(1.0 / (2.0 * rolloff)),
-            )
-        taps = taps * shaped
-    peak = np.max(np.abs(taps))
-    return taps / peak
-
-
-def shape_chips(
-    chips: np.ndarray, samples_per_chip: int, pulse: np.ndarray | None = None
-) -> np.ndarray:
-    """Upsample a chip sequence and apply a pulse-shaping filter.
-
-    With ``pulse=None`` the chips are simply repeated (rectangular shaping),
-    which is the waveform the paper's Table 1 parameters describe.
-    """
-    chips = ensure_1d_array("chips", chips, dtype=np.float64)
-    if pulse is None:
-        return upsample_chips(chips, samples_per_chip)
-    zero_stuffed = np.zeros(chips.shape[0] * samples_per_chip, dtype=np.float64)
-    zero_stuffed[::samples_per_chip] = chips
-    return np.convolve(zero_stuffed, np.asarray(pulse, dtype=np.float64), mode="same")

@@ -425,8 +425,8 @@ def _ipcore_parallelism_trial(params: Mapping[str, Any], seed: int) -> dict[str,
     """IP-core estimation accuracy and cycle cost at one (P, word length) point.
 
     The estimate is bit-identical at every parallelism level (partitioning is
-    a scheduling choice — the conformance contract of
-    :mod:`repro.core.ipcore.conformance`), so across the ``num_fc_blocks``
+    a scheduling choice — the conformance contract pinned by
+    ``tests/core/test_ipcore_conformance.py``), so across the ``num_fc_blocks``
     axis the accuracy columns are constant while the cycle columns fall as
     Ns/P.  The per-trial oracle walks the scalar FC blocks
     (:meth:`~repro.core.ipcore.simulator.IPCoreSimulator.estimate`).

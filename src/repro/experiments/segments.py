@@ -35,8 +35,7 @@ import re
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.analysis.export import write_csv
-from repro.experiments.store import iter_jsonl, tidy_headers
+from repro.experiments.store import iter_jsonl, tidy_headers, write_jsonl, write_table_and_manifest
 from repro.telemetry.metrics import counter
 from repro.telemetry.tracing import span
 from repro.utils.atomic import atomic_writer
@@ -203,13 +202,7 @@ class SegmentedResultStore:
             return None
         name = f"segment-{self._sequence:06d}" + (f"-{label}" if label else "")
         self._sequence += 1
-        path = self.segments_dir / f"{name}.jsonl"
-
-        def _write(handle: Any) -> None:
-            for record in batch:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-        written = atomic_writer(path, _write)
+        written = write_jsonl(self.segments_dir / f"{name}.jsonl", batch)
         _SEGMENTS_FLUSHED.inc()
         _SEGMENT_RECORDS.inc(len(batch))
         return written
@@ -253,30 +246,17 @@ class SegmentedResultStore:
         ingest, ``repro compare`` and the plots consume it unchanged.
         """
         with span("store.merge"):
-            out = self.output_dir
-            written: dict[str, Path] = {}
             keys: set[str] = set()
 
-            def _write_jsonl(handle: Any) -> None:
+            def _collect_keys() -> Iterator[dict[str, Any]]:
                 for record in self.iter_records():
                     keys.update(record)
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
+                    yield record
 
-            jsonl_path = out / f"{basename}.jsonl"
-            written["jsonl"] = atomic_writer(jsonl_path, _write_jsonl)
+            jsonl_path = self.output_dir / f"{basename}.jsonl"
+            written = {"jsonl": write_jsonl(jsonl_path, _collect_keys())}
             headers = tidy_headers([dict.fromkeys(keys)]) if keys else []
-            written["csv"] = write_csv(
-                out / f"{basename}.csv",
-                headers,
-                (
-                    [record.get(column, "") for column in headers]
-                    for record in iter_jsonl(jsonl_path)
-                ),
-            )
-            if spec is not None or stats is not None:
-                manifest = {"spec": dict(spec or {}), "stats": dict(stats or {})}
-                written["manifest"] = atomic_writer(
-                    out / "manifest.json",
-                    lambda handle: json.dump(manifest, handle, indent=2, sort_keys=True),
-                )
+            written.update(write_table_and_manifest(
+                self.output_dir, basename, headers, iter_jsonl(jsonl_path), spec, stats
+            ))
         return written

@@ -31,7 +31,10 @@ from repro.analysis.export import write_csv
 from repro.telemetry.tracing import span
 from repro.utils.atomic import atomic_writer
 
-__all__ = ["ResultStore", "write_jsonl", "read_jsonl", "iter_jsonl", "tidy_headers"]
+__all__ = [
+    "ResultStore", "write_jsonl", "read_jsonl", "iter_jsonl", "tidy_headers",
+    "write_table_and_manifest",
+]
 
 #: Columns that lead every CSV, in this order, when present in the records.
 IDENTITY_COLUMNS = ("scenario", "trial_index", "replicate", "seed")
@@ -72,6 +75,34 @@ def iter_jsonl(path: Path | str) -> Iterator[dict[str, Any]]:
                 yield json.loads(line)
 
 
+def write_table_and_manifest(
+    out: Path,
+    basename: str,
+    headers: Sequence[str],
+    records: Iterable[Mapping[str, Any]],
+    spec: Mapping[str, Any] | None,
+    stats: Mapping[str, Any] | None,
+) -> dict[str, Path]:
+    """Write ``<basename>.csv`` over ``headers``, plus ``manifest.json`` when
+    ``spec`` or ``stats`` is given; return the paths by kind.
+
+    ``records`` is consumed once, row by row, so a streamed re-read of a
+    JSONL file keeps memory flat.  Both files are written atomically.
+    """
+    written = {"csv": write_csv(
+        out / f"{basename}.csv",
+        headers,
+        ([record.get(column, "") for column in headers] for record in records),
+    )}
+    if spec is not None or stats is not None:
+        manifest = {"spec": dict(spec or {}), "stats": dict(stats or {})}
+        written["manifest"] = atomic_writer(
+            out / "manifest.json",
+            lambda handle: json.dump(manifest, handle, indent=2, sort_keys=True),
+        )
+    return written
+
+
 def tidy_headers(records: Sequence[Mapping[str, Any]]) -> list[str]:
     """Column order for a set of tidy records: identity first, rest sorted."""
     keys: set[str] = set()
@@ -105,18 +136,8 @@ class ResultStore:
         records = [record for record in records]
         with span("store.write", records=len(records)):
             out = Path(self.output_dir)
-            written: dict[str, Path] = {}
-            written["jsonl"] = write_jsonl(out / f"{basename}.jsonl", records)
-            headers = tidy_headers(records)
-            written["csv"] = write_csv(
-                out / f"{basename}.csv",
-                headers,
-                ([record.get(column, "") for column in headers] for record in records),
-            )
-            if spec is not None or stats is not None:
-                manifest = {"spec": dict(spec or {}), "stats": dict(stats or {})}
-                written["manifest"] = atomic_writer(
-                    out / "manifest.json",
-                    lambda handle: json.dump(manifest, handle, indent=2, sort_keys=True),
-                )
+            written = {"jsonl": write_jsonl(out / f"{basename}.jsonl", records)}
+            written.update(write_table_and_manifest(
+                out, basename, tidy_headers(records), records, spec, stats
+            ))
         return written

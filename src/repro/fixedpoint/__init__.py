@@ -7,11 +7,8 @@ datapaths in software:
 * :class:`~repro.fixedpoint.fmt.FixedPointFormat` — a Q-format descriptor
   (word length, fraction length, signedness) with range/resolution queries.
 * :func:`~repro.fixedpoint.quantize.quantize` — vectorised quantisation with
-  selectable rounding and overflow behaviour.
-* :class:`~repro.fixedpoint.array.FixedPointArray` — a light wrapper holding
-  integer raw values plus their format, supporting the arithmetic the FC-block
-  datapath needs (add, subtract, multiply, accumulate) with explicit result
-  formats.
+  selectable rounding and overflow behaviour, plus batched variants with
+  per-row power-of-two scaling that the fixed-point and IP-core engines use.
 * :mod:`~repro.fixedpoint.metrics` — quantisation-error metrics (SQNR, max
   error) used by the bit-width ablation (experiment E6).
 """
@@ -22,13 +19,10 @@ __all__ = [
     "FixedPointFormat",
     "quantize",
     "quantize_batch",
-    "quantize_to_format",
-    "quantize_to_format_batch",
     "raw_values",
     "raw_values_batch",
     "OverflowMode",
     "RoundingMode",
-    "FixedPointArray",
     "quantization_noise_power",
     "signal_to_quantization_noise_ratio",
     "max_abs_error",
@@ -39,10 +33,9 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     "fmt": ("FixedPointFormat",),
     "quantize": (
-        "quantize", "quantize_batch", "quantize_to_format", "quantize_to_format_batch",
-        "raw_values", "raw_values_batch", "OverflowMode", "RoundingMode",
+        "quantize", "quantize_batch", "raw_values", "raw_values_batch",
+        "OverflowMode", "RoundingMode",
     ),
-    "array": ("FixedPointArray",),
     "metrics": (
         "quantization_noise_power", "signal_to_quantization_noise_ratio", "max_abs_error",
         "dynamic_range_scale", "dynamic_range_scale_batch",

@@ -95,32 +95,7 @@ class FixedPointFormat:
         return self.min_value <= value <= self.max_value
 
     # ------------------------------------------------------------------ #
-    # Format algebra (result formats of exact arithmetic)
-    # ------------------------------------------------------------------ #
-    def multiply_format(self, other: "FixedPointFormat") -> "FixedPointFormat":
-        """Format of an exact (full-precision) product of two fixed-point numbers."""
-        signed = self.signed or other.signed
-        word = self.word_length + other.word_length
-        frac = self.fraction_length + other.fraction_length
-        return FixedPointFormat(word, frac, signed)
-
-    def add_format(self, other: "FixedPointFormat") -> "FixedPointFormat":
-        """Format of an exact sum of two fixed-point numbers (one growth bit)."""
-        signed = self.signed or other.signed
-        frac = max(self.fraction_length, other.fraction_length)
-        int_self = self.word_length - self.fraction_length
-        int_other = other.word_length - other.fraction_length
-        word = max(int_self, int_other) + frac + 1
-        return FixedPointFormat(min(word, 64), frac, signed)
-
-    def accumulate_format(self, terms: int) -> "FixedPointFormat":
-        """Format of an exact sum of ``terms`` values of this format."""
-        check_integer("terms", terms, minimum=1)
-        growth = max(1, int(terms - 1).bit_length())
-        return FixedPointFormat(min(self.word_length + growth, 64), self.fraction_length, self.signed)
-
-    # ------------------------------------------------------------------ #
-    # Constructors
+    # Constructor
     # ------------------------------------------------------------------ #
     @classmethod
     def for_unit_range(cls, word_length: int, signed: bool = True) -> "FixedPointFormat":
@@ -131,25 +106,6 @@ class FixedPointFormat:
         :func:`repro.fixedpoint.metrics.dynamic_range_scale`).
         """
         frac = word_length - 1 if signed else word_length
-        return cls(word_length, frac, signed)
-
-    @classmethod
-    def for_range(
-        cls, word_length: int, max_abs_value: float, signed: bool = True
-    ) -> "FixedPointFormat":
-        """Choose the fraction length that covers ``[-max_abs_value, max_abs_value]``.
-
-        The fraction length is the largest one (finest resolution) whose range
-        still covers the requested magnitude.
-        """
-        check_integer("word_length", word_length, minimum=1, maximum=64)
-        if max_abs_value <= 0:
-            raise ValueError(f"max_abs_value must be > 0, got {max_abs_value!r}")
-        # integer bits needed to represent max_abs_value
-        import math
-
-        int_bits = max(0, math.ceil(math.log2(max_abs_value + 2.0 ** -52)))
-        frac = word_length - int_bits - (1 if signed else 0)
         return cls(word_length, frac, signed)
 
     def __str__(self) -> str:

@@ -9,9 +9,9 @@ channel-estimation error as a function of word length.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from repro.utils.units import power_ratio_to_db
+import numpy as np
 
 __all__ = [
     "quantization_noise_power",
@@ -45,7 +45,10 @@ def signal_to_quantization_noise_ratio(
         raise ValueError("signal power is zero; SQNR undefined")
     if noise_power == 0.0:
         return float("inf")
-    return power_ratio_to_db(signal_power / noise_power)
+    ratio = signal_power / noise_power
+    if ratio <= 0:
+        raise ValueError(f"power ratio must be > 0, got {ratio!r}")
+    return 10.0 * math.log10(ratio)
 
 
 def max_abs_error(original: np.ndarray, quantized: np.ndarray) -> float:

@@ -19,10 +19,8 @@ __all__ = [
     "RoundingMode",
     "OverflowMode",
     "quantize",
-    "quantize_to_format",
     "raw_values",
     "quantize_batch",
-    "quantize_to_format_batch",
     "raw_values_batch",
 ]
 
@@ -99,35 +97,8 @@ def quantize(
     return raw.astype(np.float64) * fmt.resolution
 
 
-def quantize_to_format(
-    values: np.ndarray | float | complex,
-    word_length: int,
-    *,
-    max_abs_value: float | None = None,
-    rounding: RoundingMode = RoundingMode.NEAREST,
-    overflow: OverflowMode = OverflowMode.SATURATE,
-) -> tuple[np.ndarray, FixedPointFormat]:
-    """Quantise ``values`` choosing a fraction length that fits the data.
-
-    If ``max_abs_value`` is not given it is taken from the data (with complex
-    inputs, from the larger of the real/imaginary magnitudes).  Returns the
-    quantised values and the chosen format.  This implements the "optimal
-    dynamic range scaling" the paper attributes to Meng et al. [21].
-    """
-    arr = np.asarray(values)
-    if max_abs_value is None:
-        if np.iscomplexobj(arr):
-            max_abs_value = float(max(np.max(np.abs(arr.real)), np.max(np.abs(arr.imag))))
-        else:
-            max_abs_value = float(np.max(np.abs(arr)))
-        if max_abs_value == 0.0:
-            max_abs_value = 1.0
-    fmt = FixedPointFormat.for_range(word_length, max_abs_value)
-    return quantize(arr, fmt, rounding, overflow), fmt
-
-
 # --------------------------------------------------------------------------- #
-# Batched variants — a leading batch axis with per-row scaling / formats.
+# Batched variants — a leading batch axis with per-row scaling.
 #
 # Every batched function is pinned by the property suite to be *bit-identical*
 # to a Python loop of its scalar counterpart: the same element-wise
@@ -206,44 +177,3 @@ def quantize_batch(
         quantised = quantised * broadcast
     return quantised
 
-
-def quantize_to_format_batch(
-    values: np.ndarray,
-    word_length: int,
-    *,
-    rounding: RoundingMode = RoundingMode.NEAREST,
-    overflow: OverflowMode = OverflowMode.SATURATE,
-) -> tuple[np.ndarray, list[FixedPointFormat]]:
-    """Per-row :func:`quantize_to_format` over a leading batch axis.
-
-    Each row picks its own fraction length from its own peak magnitude (the
-    per-matrix dynamic-range scaling of the IP core) and the quantisation of
-    all rows then runs as one vectorised pass.  Row ``t`` of the result and
-    ``formats[t]`` equal ``quantize_to_format(values[t], word_length, ...)``
-    bit for bit; the formats are chosen by the same
-    :meth:`~repro.fixedpoint.fmt.FixedPointFormat.for_range` call per row, so
-    no float-library differences can creep in between the paths.
-    """
-    arr = np.asarray(values)
-    if arr.ndim < 1:
-        raise ValueError("quantize_to_format_batch needs at least a batch axis")
-    flat = arr.reshape(arr.shape[0], -1)
-    if np.iscomplexobj(flat):
-        peaks = np.maximum(
-            np.max(np.abs(flat.real), axis=1, initial=0.0),
-            np.max(np.abs(flat.imag), axis=1, initial=0.0),
-        )
-    else:
-        peaks = np.max(np.abs(flat), axis=1, initial=0.0)
-    formats = [
-        FixedPointFormat.for_range(word_length, float(peak) if peak > 0.0 else 1.0)
-        for peak in peaks
-    ]
-    # quantising on per-row formats == quantising on an integer grid (the
-    # same word length, fraction length 0) scaled by each row's resolution
-    resolutions = np.array([fmt.resolution for fmt in formats], dtype=np.float64)
-    integer_grid = FixedPointFormat(word_length, 0, signed=True)
-    quantised = quantize_batch(
-        arr, integer_grid, rounding, overflow, scales=resolutions
-    )
-    return quantised, formats

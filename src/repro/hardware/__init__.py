@@ -20,6 +20,9 @@ timer.  None of those tools are available here, so this subpackage provides
 * :mod:`repro.hardware.processors` — cycle-cost models of the TI C6713 DSP
   and the MicroBlaze soft core.
 * :mod:`repro.hardware.comparison` — the Table 3 platform comparison.
+
+The models keep the paper's scope: energies exclude reconfiguration at
+power-up (as Figure 6 states), and no ASIC alternative is modelled.
 """
 
 from repro._lazy import lazy_exports
@@ -51,12 +54,6 @@ __all__ = [
     "PlatformComparison",
     "PlatformResult",
     "compare_platforms",
-    "ReconfigurationModel",
-    "amortized_energy_per_estimation",
-    "break_even_estimations",
-    "ASICModel",
-    "ASICImplementation",
-    "cost_crossover_volume",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -71,8 +68,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "opcounts": ("OperationCounts", "matching_pursuit_operation_counts"),
     "processors": ("ProcessorModel", "ProcessorImplementation", "ti_c6713", "microblaze_soft_core"),
     "comparison": ("PlatformComparison", "PlatformResult", "compare_platforms"),
-    "reconfiguration": (
-        "ReconfigurationModel", "amortized_energy_per_estimation", "break_even_estimations",
-    ),
-    "asic": ("ASICModel", "ASICImplementation", "cost_crossover_volume"),
 })

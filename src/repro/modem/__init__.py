@@ -32,8 +32,6 @@ __all__ = [
     "LinkResult",
     "ModemEnergyBudget",
     "PacketEnergyBreakdown",
-    "FrameSynchronizer",
-    "SynchronizationResult",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -44,5 +42,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "link": ("LinkSimulator", "LinkResult"),
     "batch": ("BatchLinkEngine",),
     "energy_budget": ("ModemEnergyBudget", "PacketEnergyBreakdown"),
-    "synchronization": ("FrameSynchronizer", "SynchronizationResult"),
 })

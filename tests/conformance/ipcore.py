@@ -22,8 +22,7 @@ module makes that claim executable:
 :func:`check_conformance` sweeps a P × w grid over a common stack of receive
 vectors and returns a :class:`ConformanceReport`;
 ``tests/core/test_ipcore_conformance.py`` drives it across the full
-P ∈ {1, 2, 4, 8, 14, 28, 56, 112} × w ∈ {2, 8, 12, 16, 32} cross, and the
-``repro ipcore`` CLI study re-asserts cross-P identity on every run.
+P ∈ {1, 2, 4, 8, 14, 28, 56, 112} × w ∈ {2, 8, 12, 16, 32} cross.
 """
 
 from __future__ import annotations

@@ -20,14 +20,14 @@ from repro.channel.multipath import random_sparse_channel
 from repro.channel.simulator import add_noise_for_snr
 from repro.core.fixedpoint_mp import FixedPointMatchingPursuit
 from repro.core.ipcore import BatchIPCoreEngine, IPCoreConfig, IPCoreSimulator
-from repro.core.ipcore.conformance import (
+from repro.experiments import get_scenario, run_sweep
+from repro.fixedpoint.quantize import OverflowMode, RoundingMode
+from tests.conformance.ipcore import (
     DEFAULT_PARALLELISM_LEVELS,
     DEFAULT_WORD_LENGTHS,
     FLOAT_ERROR_BOUNDS,
     check_conformance,
 )
-from repro.experiments import get_scenario, run_sweep
-from repro.fixedpoint.quantize import OverflowMode, RoundingMode
 from tests.experiments.oracle import oracle_records
 
 PARALLELISM = DEFAULT_PARALLELISM_LEVELS   # (1, 2, 4, 8, 14, 28, 56, 112)

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dsp.sampling import (
-    raised_cosine_taps,
-    rectangular_pulse_shape,
-    shape_chips,
-    upsample_chips,
-)
+from repro.dsp.sampling import upsample_chips
 
 
 class TestUpsampleChips:
@@ -31,45 +26,3 @@ class TestUpsampleChips:
         with pytest.raises(ValueError):
             upsample_chips(np.ones(4), 0)
 
-
-class TestRectangularPulse:
-    def test_unit_energy(self):
-        pulse = rectangular_pulse_shape(4)
-        assert np.sum(pulse**2) == pytest.approx(1.0)
-
-    def test_length(self):
-        assert rectangular_pulse_shape(3).shape == (3,)
-
-
-class TestRaisedCosine:
-    def test_peak_normalised(self):
-        taps = raised_cosine_taps(4, span_chips=6, rolloff=0.25)
-        assert np.max(np.abs(taps)) == pytest.approx(1.0)
-
-    def test_zero_crossings_at_chip_intervals(self):
-        sps = 8
-        taps = raised_cosine_taps(sps, span_chips=6, rolloff=0.0)
-        centre = len(taps) // 2
-        # Nyquist criterion: zero at every non-zero multiple of the chip period
-        for k in (1, 2, 3):
-            assert abs(taps[centre + k * sps]) < 1e-9
-
-    def test_rolloff_validated(self):
-        with pytest.raises(ValueError):
-            raised_cosine_taps(4, rolloff=1.5)
-
-    def test_length_matches_span(self):
-        taps = raised_cosine_taps(2, span_chips=4)
-        assert len(taps) == 2 * 4 + 1
-
-
-class TestShapeChips:
-    def test_default_is_rectangular(self):
-        chips = np.array([1.0, -1.0])
-        np.testing.assert_array_equal(shape_chips(chips, 3), upsample_chips(chips, 3))
-
-    def test_with_pulse_preserves_length(self):
-        chips = np.ones(10)
-        pulse = raised_cosine_taps(4)
-        shaped = shape_chips(chips, 4, pulse)
-        assert shaped.shape == (40,)

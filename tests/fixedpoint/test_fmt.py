@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.fixedpoint.fmt import FixedPointFormat
 
@@ -46,36 +45,6 @@ class TestBasicProperties:
             FixedPointFormat(65, 0)
 
 
-class TestFormatAlgebra:
-    def test_multiply_format_widths_add(self):
-        a = FixedPointFormat(8, 6)
-        b = FixedPointFormat(8, 7)
-        prod = a.multiply_format(b)
-        assert prod.word_length == 16
-        assert prod.fraction_length == 13
-
-    def test_add_format_has_growth_bit(self):
-        a = FixedPointFormat(8, 6)
-        total = a.add_format(a)
-        assert total.word_length == 9
-        assert total.fraction_length == 6
-
-    def test_accumulate_format_growth(self):
-        a = FixedPointFormat(8, 6)
-        acc = a.accumulate_format(224)
-        # 224 terms need ceil(log2(223)) = 8 growth bits
-        assert acc.word_length == 16
-        assert acc.fraction_length == 6
-
-    def test_accumulate_single_term(self):
-        a = FixedPointFormat(8, 6)
-        assert a.accumulate_format(1).word_length == a.word_length + 1
-
-    def test_accumulate_caps_at_64(self):
-        a = FixedPointFormat(60, 6)
-        assert a.accumulate_format(1 << 30).word_length == 64
-
-
 class TestConstructors:
     def test_for_unit_range_signed(self):
         fmt = FixedPointFormat.for_unit_range(8)
@@ -87,21 +56,3 @@ class TestConstructors:
         fmt = FixedPointFormat.for_unit_range(8, signed=False)
         assert fmt.fraction_length == 8
         assert fmt.max_value < 1.0
-
-    def test_for_range_covers_value(self):
-        fmt = FixedPointFormat.for_range(8, 112.0)
-        assert fmt.max_value >= 112.0 or fmt.max_value == pytest.approx(112.0, rel=0.05)
-        assert fmt.contains(100.0)
-
-    def test_for_range_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            FixedPointFormat.for_range(8, 0.0)
-
-    @given(
-        word=st.integers(min_value=4, max_value=24),
-        magnitude=st.floats(min_value=1e-3, max_value=1e6),
-    )
-    def test_for_range_always_covers_property(self, word, magnitude):
-        fmt = FixedPointFormat.for_range(word, magnitude)
-        # the chosen format must cover the requested magnitude (within one LSB)
-        assert fmt.max_value + fmt.resolution >= magnitude

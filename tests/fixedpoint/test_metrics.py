@@ -55,6 +55,22 @@ class TestNoiseMetrics:
         y = x + 0.01
         assert quantization_noise_power(x, y) == pytest.approx(1e-4)
 
+    @pytest.mark.parametrize("error, sqnr_db", [(1.0, 0.0), (0.1, 20.0), (0.01, 40.0)])
+    def test_sqnr_is_ten_log10_of_the_power_ratio(self, error, sqnr_db):
+        """Unit signal power over an error of constant magnitude: 10 log10(1 / e^2)."""
+        original = np.ones(8)
+        quantised = original + error * np.resize([1.0, -1.0], 8)
+        assert signal_to_quantization_noise_ratio(original, quantised) == pytest.approx(
+            sqnr_db, abs=1e-9
+        )
+
+    @given(st.floats(min_value=1e-6, max_value=1e3))
+    def test_sqnr_halving_the_error_gains_six_db(self, error):
+        original = np.full(4, 2.0)
+        coarse = signal_to_quantization_noise_ratio(original, original + error)
+        fine = signal_to_quantization_noise_ratio(original, original + error / 2)
+        assert fine - coarse == pytest.approx(20 * np.log10(2.0), abs=1e-9)
+
 
 class TestDynamicRangeScale:
     def test_unit_data_gets_unit_scale(self):

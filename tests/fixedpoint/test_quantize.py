@@ -12,7 +12,6 @@ from repro.fixedpoint.quantize import (
     OverflowMode,
     RoundingMode,
     quantize,
-    quantize_to_format,
     raw_values,
 )
 
@@ -93,26 +92,3 @@ class TestQuantize:
     def test_in_range_error_bounded_property(self, values):
         q = quantize(values, FMT8)
         assert np.max(np.abs(values - q)) <= FMT8.resolution / 2 + 1e-12
-
-
-class TestQuantizeToFormat:
-    def test_scale_inferred_from_data(self):
-        values = np.array([50.0, -75.0, 100.0])
-        quantised, fmt = quantize_to_format(values, 8)
-        assert fmt.contains(100.0)
-        assert np.max(np.abs(values - quantised)) <= fmt.resolution
-
-    def test_explicit_max_abs(self):
-        # covering +1.0 exactly needs one integer bit, so 6 fraction bits remain
-        _, fmt = quantize_to_format(np.array([0.1]), 8, max_abs_value=1.0)
-        assert fmt.fraction_length == 6
-        assert fmt.contains(1.0)
-
-    def test_all_zero_input(self):
-        quantised, fmt = quantize_to_format(np.zeros(4), 8)
-        np.testing.assert_array_equal(quantised, np.zeros(4))
-
-    def test_complex_input_uses_larger_component(self):
-        values = np.array([1.0 + 100.0j])
-        _, fmt = quantize_to_format(values, 12)
-        assert fmt.contains(100.0)

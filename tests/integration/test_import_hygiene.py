@@ -9,10 +9,13 @@ every default sweep run with it blocked.  numpy backs
 only the engines, so the control plane runs with numpy blocked outright:
 ``repro scenarios``, the closed-form ``platform-energy`` sweep, a fully
 cached resume of every scenario, and the trace and warehouse commands.
+Every ``src/repro`` module is reachable by import from the CLI: a module
+that no command reaches is deleted, not kept for its own tests.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -24,6 +27,9 @@ import pytest
 from repro.experiments import scenario_names
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+#: the process entry points every reachable module is imported from
+ENTRY_POINTS = ("repro.cli", "repro.__main__")
 
 HEAVY = ("numpy", "networkx")
 
@@ -197,7 +203,6 @@ def test_every_export_resolves_in_a_fresh_process(tmp_path):
 
 @pytest.mark.parametrize("package, name", [
     ("repro.core", "matching_pursuit"),
-    ("repro.dsp", "matched_filter"),
     ("repro.fixedpoint", "quantize"),
 ])
 def test_export_named_like_its_submodule_stays_the_export(package, name, tmp_path):
@@ -218,3 +223,119 @@ def test_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         repro.analysis.no_such_name
     assert not hasattr(repro.analysis, "__no_such_dunder__")
+
+
+def _source_modules(src: Path) -> dict[str, ast.Module]:
+    """The parsed source of every module under ``src/repro``, by dotted name."""
+    modules = {}
+    for path in (src / "repro").rglob("*.py"):
+        parts = path.relative_to(src).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        modules[name] = ast.parse(path.read_text(), str(path))
+    return modules
+
+
+def _lazy_table(package: ast.Module, name: str) -> dict[str, str]:
+    """Export name -> defining submodule, from a package's ``lazy_exports`` call."""
+    for node in ast.walk(package):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy_exports":
+            exports = ast.literal_eval(node.args[1])
+            return {export: f"{name}.{path}" for path, names in exports.items()
+                    for export in names}
+    return {}
+
+
+def import_closure(src: Path, roots: tuple[str, ...]) -> tuple[set[str], set[str]]:
+    """Modules statically imported from ``roots``, and every module under ``src``.
+
+    Every ``import`` statement counts, at module level or inside a function,
+    together with the packages above what it names.  ``from package import
+    name`` reaches the submodule ``name`` or, through the package's
+    ``lazy_exports`` table, the submodule that defines the export ``name``:
+    only names that some module imports resolve.
+    """
+    modules = _source_modules(src)
+    reached: set[str] = set()
+    pending: list[str] = []
+
+    def reach(name: str) -> None:
+        parts = name.split(".")
+        for end in range(1, len(parts) + 1):
+            module = ".".join(parts[:end])
+            if module in modules and module not in reached:
+                reached.add(module)
+                pending.append(module)
+
+    for root in roots:
+        reach(root)
+    while pending:
+        for node in ast.walk(modules[pending.pop()]):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    reach(alias.name)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                reach(node.module)
+                package = modules.get(node.module)
+                lazy = _lazy_table(package, node.module) if package else {}
+                for alias in node.names:
+                    reach(lazy.get(alias.name, f"{node.module}.{alias.name}"))
+    return reached, set(modules)
+
+
+def test_every_module_is_reachable_from_the_cli():
+    """No module is imported only by its package's export table and its tests."""
+    reached, modules = import_closure(Path(SRC), ENTRY_POINTS)
+    orphans = sorted(modules - reached)
+    assert not orphans, f"modules no CLI command imports: {', '.join(orphans)}"
+
+
+def _tree(root: Path, files: dict[str, str]) -> Path:
+    """Write ``files`` (path under ``src/repro`` -> source) and return ``src``."""
+    src = root / "src"
+    for relative, source in files.items():
+        path = src / "repro" / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source)
+    return src
+
+
+def test_import_closure_counts_function_level_imports(tmp_path):
+    src = _tree(tmp_path, {
+        "__init__.py": "",
+        "cli.py": "def main():\n    import repro.used\n",
+        "used.py": "",
+        "orphan.py": "import repro.used\n",
+    })
+    reached, modules = import_closure(src, ("repro.cli",))
+    assert modules == {"repro", "repro.cli", "repro.used", "repro.orphan"}
+    assert modules - reached == {"repro.orphan"}
+
+
+def test_import_closure_resolves_only_the_lazy_exports_imported(tmp_path):
+    src = _tree(tmp_path, {
+        "__init__.py": "",
+        "cli.py": "from repro.pkg import Used\n",
+        "pkg/__init__.py": (
+            "from repro._lazy import lazy_exports\n"
+            "__getattr__, __dir__ = lazy_exports(__name__, {\n"
+            "    'used': ('Used',),\n"
+            "    'unused': ('Unused',),\n"
+            "})\n"
+        ),
+        "pkg/used.py": "",
+        "pkg/unused.py": "",
+    })
+    reached, modules = import_closure(src, ("repro.cli",))
+    assert modules - reached == {"repro.pkg.unused"}
+
+
+def test_import_closure_reaches_packages_above_a_submodule(tmp_path):
+    src = _tree(tmp_path, {
+        "__init__.py": "",
+        "cli.py": "import repro.outer.inner.leaf\n",
+        "outer/__init__.py": "",
+        "outer/inner/__init__.py": "",
+        "outer/inner/leaf.py": "",
+    })
+    reached, modules = import_closure(src, ("repro.cli",))
+    assert reached == modules

@@ -114,3 +114,45 @@ class TestSpeedupBasis:
         current = write_bench(tmp_path / "cur.json", {"bench_a": 1.5},
                               speedups={"bench_a": 15.0})
         assert compare.main([baseline, current]) == 1  # falls back to 1.5x wall-clock
+
+
+#: two metrics with the directions and bounds of BENCHMARK.json's end-to-end set
+BOUNDS = {"end_to_end": [
+    {"name": "op_p50_ref", "better": "lower", "bound": 0.25},
+    {"name": "trials_per_ref", "better": "higher", "bound": 0.25},
+]}
+
+
+def ledger(**changes: tuple[float, float]) -> dict:
+    """A one-workload ledger: metric -> (parent median, change median)."""
+    metrics = {name: {"parent": {"median": parent}, "change": {"median": change}}
+               for name, (parent, change) in changes.items()}
+    return {"end_to_end": {"cli-sweep": {"metrics": metrics}}}
+
+
+class TestCheckLedger:
+    def test_a_gain_in_either_direction_passes(self):
+        lines, breaches = compare.check_ledger(
+            ledger(op_p50_ref=(1.0, 0.5), trials_per_ref=(1.0, 2.0)), BOUNDS)
+        assert breaches == []
+        assert len(lines) == 2 and all(line.endswith("ok") for line in lines)
+
+    def test_a_change_exactly_at_the_bound_passes(self):
+        _, breaches = compare.check_ledger(
+            ledger(op_p50_ref=(1.0, 1.25), trials_per_ref=(1.0, 0.75)), BOUNDS)
+        assert breaches == []
+
+    def test_lower_is_better_breaches_upwards_only(self):
+        _, breaches = compare.check_ledger(
+            ledger(op_p50_ref=(2.0, 2.6), trials_per_ref=(1.0, 1.0)), BOUNDS)
+        assert breaches == ["cli-sweep op_p50_ref: +30.0% against a 25% bound"]
+
+    def test_higher_is_better_breaches_downwards_only(self):
+        _, breaches = compare.check_ledger(
+            ledger(op_p50_ref=(1.0, 1.0), trials_per_ref=(4.0, 2.8)), BOUNDS)
+        assert breaches == ["cli-sweep trials_per_ref: -30.0% against a 25% bound"]
+
+    def test_a_single_file_without_a_ledger_is_an_error(self, tmp_path, capsys):
+        plain = write_bench(tmp_path / "bench.json", {"bench_a": 1.0})
+        assert compare.main([plain]) == 2
+        assert "no 'end_to_end' key" in capsys.readouterr().out
