@@ -56,5 +56,7 @@ def test_bench_mp_ls_runtime(benchmark, aquamodem_matrices, noisy_receive_vector
         matching_pursuit_ls, noisy_receive_vector, aquamodem_matrices, num_paths=6
     )
     assert result.num_paths == 6
-    # still far inside the 22.4 ms real-time budget
-    assert benchmark.stats.stats.mean < 22.4e-3
+    # still far inside the 22.4 ms real-time budget (timed runs only:
+    # --benchmark-disable calls the function once and records no stats)
+    if benchmark.stats is not None:
+        assert benchmark.stats.stats.mean < 22.4e-3

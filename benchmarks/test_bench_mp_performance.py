@@ -21,7 +21,9 @@ def test_bench_matching_pursuit_vectorized(benchmark, aquamodem_matrices, noisy_
     )
     assert result.num_paths == 6
     # the software reference itself meets the modem's real-time budget
-    assert benchmark.stats.stats.mean < 22.4e-3
+    # (timed runs only: --benchmark-disable records no stats)
+    if benchmark.stats is not None:
+        assert benchmark.stats.stats.mean < 22.4e-3
 
 
 def test_bench_matching_pursuit_more_paths(benchmark, aquamodem_matrices, noisy_receive_vector):

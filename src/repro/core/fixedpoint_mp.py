@@ -46,6 +46,7 @@ from repro.dsp.signal_matrix import SignalMatrices
 from repro.fixedpoint.fmt import FixedPointFormat
 from repro.fixedpoint.metrics import dynamic_range_scale, dynamic_range_scale_batch
 from repro.fixedpoint.quantize import OverflowMode, RoundingMode, quantize, quantize_batch
+from repro.telemetry.tracing import span
 from repro.utils.validation import check_integer, ensure_1d_array, ensure_2d_array
 
 __all__ = [
@@ -240,10 +241,11 @@ class FixedPointMatchingPursuit:
     # ------------------------------------------------------------------ #
     # datapath building blocks
     #
-    # These are public because they are *shared*: the IP-core engines
-    # (`repro.core.ipcore`) run the identical quantisation points — the same
-    # calls, in the same order — so that the partitioned FC-block datapath
-    # can be pinned against this estimator with ``==`` on raw integer codes.
+    # These are public because they are *shared*: the scalar IP-core
+    # simulator (`repro.core.ipcore`) runs the identical quantisation points —
+    # the same calls, in the same order — so that the partitioned FC-block
+    # datapath can be pinned against this estimator with ``==`` on raw
+    # integer codes.
     # ------------------------------------------------------------------ #
     @property
     def input_format(self) -> FixedPointFormat:
@@ -308,27 +310,19 @@ class FixedPointMatchingPursuit:
             matched[t] = self.matched_filter(r_q[t])
         return matched
 
-    def _requant(self, values: np.ndarray, scale: float) -> np.ndarray:
-        """Re-quantise an intermediate result to the accumulator format."""
+    def requantize(self, values: np.ndarray, scale: float) -> np.ndarray:
+        """Re-quantise one trial's intermediates to the accumulator format.
+
+        Element-wise, so an FC block's slice of an array re-quantises to the
+        same bits as the whole array.
+        """
         return self._quantize(values / scale, self._acc_fmt) * scale
 
     def _requant_batch(self, values: np.ndarray, scales: np.ndarray) -> np.ndarray:
-        """Per-trial :meth:`_requant` over a leading batch axis, bit-identically."""
+        """Per-trial :meth:`requantize` over a leading batch axis, bit-identically."""
         return quantize_batch(
             values, self._acc_fmt, self.rounding, self.overflow, scales=scales
         )
-
-    def requantize(self, values: np.ndarray, scale) -> np.ndarray:
-        """Re-quantise intermediates to the accumulator format.
-
-        ``scale`` may be a scalar (one trial — or any slice of one trial:
-        re-quantisation is element-wise, so a block's slice re-quantises to
-        the same bits as the full array) or a per-trial ``(trials,)`` column
-        for values with a leading batch axis.
-        """
-        if np.ndim(scale) == 0:
-            return self._requant(values, float(scale))
-        return self._requant_batch(values, np.asarray(scale, dtype=np.float64))
 
     def coefficient_scales(self, v_scale):
         """The (per-trial) scales of the temporary coefficients and decisions.
@@ -416,7 +410,7 @@ class FixedPointMatchingPursuit:
         matched = self.matched_filter(r_q)
         v_scale = dynamic_range_scale(matched)
 
-        V = self._requant(matched, v_scale)
+        V = self.requantize(matched, v_scale)
         F = np.zeros(num_delays, dtype=np.complex128)
         selected = np.zeros(num_delays, dtype=bool)
 
@@ -429,9 +423,9 @@ class FixedPointMatchingPursuit:
         previous: int | None = None
         for j in range(self.num_paths):
             if previous is not None:
-                V = self._requant(V - self.A_q[:, previous] * F[previous], v_scale)
-            G = self._requant(V * self.a_q, g_scale)
-            Q = self._requant(np.real(np.conj(G) * V), q_scale)
+                V = self.requantize(V - self.A_q[:, previous] * F[previous], v_scale)
+            G = self.requantize(V * self.a_q, g_scale)
+            Q = self.requantize(np.real(np.conj(G) * V), q_scale)
             Q_masked = np.where(selected, -np.inf, Q)
             q = int(np.argmax(Q_masked))
             F[q] = G[q]
@@ -466,11 +460,12 @@ class FixedPointMatchingPursuit:
         trials = received.shape[0]
         num_delays = self.matrices.num_delays
 
-        r_q, r_scales = self.quantize_received_batch(received)
-        matched = self.matched_filter_batch(r_q)
-        v_scales = dynamic_range_scale_batch(matched)
+        with span("engine.fixedpoint.matched_filter", trials=trials):
+            r_q, r_scales = self.quantize_received_batch(received)
+            matched = self.matched_filter_batch(r_q)
+            v_scales = dynamic_range_scale_batch(matched)
+            V = self._requant_batch(matched, v_scales)
 
-        V = self._requant_batch(matched, v_scales)
         F = np.zeros((trials, num_delays), dtype=np.complex128)
         selected = np.zeros((trials, num_delays), dtype=bool)
 
@@ -481,23 +476,24 @@ class FixedPointMatchingPursuit:
         g_scales, q_scales = self.coefficient_scales(v_scales)
 
         rows = np.arange(trials)
-        previous: np.ndarray | None = None
-        for j in range(self.num_paths):
-            if previous is not None:
-                # column q of A per trial, taken as a row of A^T so no
-                # symmetry of A is assumed (mirrors matching_pursuit_batch)
-                cancelled = V - self.A_q.T[previous] * F[rows, previous][:, np.newaxis]
-                V = self._requant_batch(cancelled, v_scales)
-            G = self._requant_batch(V * self.a_q, g_scales)
-            Q = self._requant_batch(np.real(np.conj(G) * V), q_scales)
-            Q_masked = np.where(selected, -np.inf, Q)
-            q = np.argmax(Q_masked, axis=1)
-            F[rows, q] = G[rows, q]
-            selected[rows, q] = True
-            path_indices[:, j] = q
-            path_gains[:, j] = G[rows, q]
-            decision_history[:, j] = Q[rows, q]
-            previous = q
+        with span("engine.fixedpoint.iterations", trials=trials, num_paths=self.num_paths):
+            previous: np.ndarray | None = None
+            for j in range(self.num_paths):
+                if previous is not None:
+                    # column q of A per trial, taken as a row of A^T so no
+                    # symmetry of A is assumed (mirrors matching_pursuit_batch)
+                    cancelled = V - self.A_q.T[previous] * F[rows, previous][:, np.newaxis]
+                    V = self._requant_batch(cancelled, v_scales)
+                G = self._requant_batch(V * self.a_q, g_scales)
+                Q = self._requant_batch(np.real(np.conj(G) * V), q_scales)
+                Q_masked = np.where(selected, -np.inf, Q)
+                q = np.argmax(Q_masked, axis=1)
+                F[rows, q] = G[rows, q]
+                selected[rows, q] = True
+                path_indices[:, j] = q
+                path_gains[:, j] = G[rows, q]
+                decision_history[:, j] = Q[rows, q]
+                previous = q
 
         return self.assemble_estimate_batch(
             F, path_indices, path_gains, decision_history, r_scales, g_scales, q_scales

@@ -16,7 +16,7 @@ This package mirrors that structure in software:
   window of the shared :class:`~repro.core.ipcore.fc_block.CoreRegisters`
   register file.
 * :class:`~repro.core.ipcore.qgen.QGenBlock` — the arg-max reduction with the
-  "not already selected" exclusion of step 13 (scalar and per-trial batched).
+  "not already selected" exclusion of step 13.
 * :class:`~repro.core.ipcore.control.ControlUnit` — the cycle accountant: it
   knows how many clock cycles each phase of the schedule takes for a given
   level of parallelism.
@@ -24,9 +24,11 @@ This package mirrors that structure in software:
   together; its estimate is bit-identical (raw integer codes) to
   :class:`~repro.core.fixedpoint_mp.FixedPointMatchingPursuit` at matching
   quantiser modes, plus an exact cycle count.
-* :class:`~repro.core.ipcore.batch.BatchIPCoreEngine` — the batched engine:
-  whole trial stacks through the same blocks, vectorised over the trial
-  axis, with the schedule evaluated in closed form per configuration.
+* :class:`~repro.core.ipcore.batch.BatchIPCoreEngine` — the batched engine.
+  P splits the delay columns across blocks but never changes the
+  arithmetic, so the engine *is* the fixed-point batch estimator
+  (:meth:`~repro.core.fixedpoint_mp.FixedPointMatchingPursuit.estimate_batch`)
+  plus the closed-form schedule P picks.
 
 ``tests/conformance/ipcore.py`` holds the three-way conformance harness (IP
 core == fixed-point MP == float reference within documented bounds).

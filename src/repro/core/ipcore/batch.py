@@ -1,32 +1,21 @@
-"""Batched IP-core engine: many channel estimations as array operations.
+"""Batched IP-core engine: many channel estimations at once.
 
-:class:`BatchIPCoreEngine` carries a whole ``(trials, window)`` stack of
-receive vectors through the Figure 5 FC-block architecture at once:
+The level of parallelism P of the Figure 5 core only splits the delay
+columns across FC blocks: it sets the cycle count (and the area), never the
+arithmetic.  The scalar
+:class:`~repro.core.ipcore.simulator.IPCoreSimulator` walks the blocks to
+show it, and the conformance suite pins its estimate ``==`` (raw integer
+codes) to :class:`~repro.core.fixedpoint_mp.FixedPointMatchingPursuit` at
+every P.  So :class:`BatchIPCoreEngine` *is* the fixed-point batch
+estimator of the core's datapath
+(:meth:`~repro.core.fixedpoint_mp.FixedPointMatchingPursuit.estimate_batch`)
+plus the closed-form :class:`~repro.core.ipcore.control.ScheduleBreakdown`
+that P picks, which every trial of a batch shares: the control schedule
+depends on the geometry, never on the data.
 
-* the matched filter runs across all trials and blocks as one batched
-  matmul (where float64 accumulation is provably exact — otherwise the
-  identical per-trial call the scalar path makes, see
-  :meth:`~repro.core.fixedpoint_mp.FixedPointMatchingPursuit.matched_filter_batch`);
-* the cancellation and G/Q updates are the *same*
-  :class:`~repro.core.ipcore.fc_block.FilterAndCancelBlock` methods the
-  scalar :class:`~repro.core.ipcore.simulator.IPCoreSimulator` drives, over
-  a register file with a leading ``(trials,)`` axis — vectorised over the
-  trial axis, block by block;
-* the q-gen reduction is one per-trial ``argmax``
-  (:meth:`~repro.core.ipcore.qgen.QGenBlock.select_batch`, equal to the
-  scalar block-ordered reduction by the tie-break theorem);
-* the control schedule is evaluated in closed form once per configuration
-  (the :class:`~repro.core.ipcore.control.ControlUnit` cycle model does not
-  depend on the data, only on the geometry), so every trial of a batch
-  shares one :class:`~repro.core.ipcore.control.ScheduleBreakdown`.
-
-Because every step is either an element-wise float64 expression (identical
-bits whether evaluated per trial or per batch) or a reduction inside the
-documented exactness bound, the engine is pinned **bit-identical** to a loop
-of scalar ``IPCoreSimulator.estimate`` calls — ``==`` on raw integer codes —
-at every parallelism level and word length
-(``tests/core/test_ipcore_conformance.py``,
-``tests/core/test_ipcore_properties.py``).
+``tests/conformance/test_ipcore_engine.py`` pins the engine bit-identical
+to a loop of scalar ``IPCoreSimulator.estimate`` calls on generated
+configurations.
 """
 
 from __future__ import annotations
@@ -37,10 +26,8 @@ import numpy as np
 
 from repro.core.fixedpoint_mp import BatchFixedPointEstimate
 from repro.core.ipcore.control import ScheduleBreakdown
-from repro.core.ipcore.qgen import QGenBlock
 from repro.core.ipcore.simulator import IPCoreConfig, IPCoreRun, IPCoreSimulator
 from repro.dsp.signal_matrix import SignalMatrices
-from repro.fixedpoint.metrics import dynamic_range_scale_batch
 from repro.telemetry.metrics import counter, histogram
 from repro.telemetry.tracing import span
 from repro.utils.validation import ensure_2d_array
@@ -84,37 +71,24 @@ class BatchIPCoreRun:
 
 
 class BatchIPCoreEngine:
-    """Run many estimations through the FC-block architecture at once.
+    """Run many estimations on one IP-core configuration at once.
 
     Parameters
     ----------
     matrices, config, control_overrides:
         As for :class:`~repro.core.ipcore.simulator.IPCoreSimulator`; the
         engine builds (and exposes as :attr:`core`) a scalar simulator and
-        shares its datapath, blocks and control unit — the two paths operate
-        on literally the same quantised storage.
-    simulator:
-        Alternatively, wrap an existing simulator instead of building one.
+        estimates through its datapath and control unit — the two paths
+        operate on literally the same quantised storage.
     """
 
     def __init__(
         self,
-        matrices: SignalMatrices | None = None,
+        matrices: SignalMatrices,
         config: IPCoreConfig | None = None,
-        *,
-        simulator: IPCoreSimulator | None = None,
         **control_overrides: int,
     ) -> None:
-        if simulator is not None:
-            if matrices is not None or config is not None or control_overrides:
-                raise ValueError(
-                    "pass either an existing `simulator` or matrices/config, not both"
-                )
-            self.core = simulator
-        else:
-            if matrices is None:
-                raise ValueError("matrices are required when no simulator is given")
-            self.core = IPCoreSimulator(matrices, config, **control_overrides)
+        self.core = IPCoreSimulator(matrices, config, **control_overrides)
 
     @property
     def config(self) -> IPCoreConfig:
@@ -137,51 +111,10 @@ class BatchIPCoreEngine:
             shape=(None, core.matrices.window_length),
         )
         trials = received.shape[0]
-        datapath = core.datapath
-
         with span("engine.ipcore.estimate_batch", trials=trials,
                   num_fc_blocks=core.config.num_fc_blocks,
                   word_length=core.config.word_length):
-            with span("engine.ipcore.matched_filter", trials=trials):
-                r_q, r_scales = datapath.quantize_received_batch(received)
-                matched = datapath.matched_filter_batch(r_q)
-                v_scales = dynamic_range_scale_batch(matched)
-                g_scales, q_scales = datapath.coefficient_scales(v_scales)
-
-                registers = core.new_registers(trials)
-                for block in core.blocks:
-                    block.matched_filter(registers, matched, v_scales)
-
-            num_paths = core.config.num_paths
-            rows = np.arange(trials)
-            path_indices = np.empty((trials, num_paths), dtype=np.int64)
-            path_gains = np.empty((trials, num_paths), dtype=np.complex128)
-            decisions = np.empty((trials, num_paths), dtype=np.float64)
-
-            with span("engine.ipcore.iterations", trials=trials, num_paths=num_paths):
-                previous: np.ndarray | None = None
-                for j in range(num_paths):
-                    if previous is not None:
-                        coefficients = registers.F[rows, previous]
-                        for block in core.blocks:
-                            block.cancel(registers, previous, coefficients, v_scales)
-                    for block in core.blocks:
-                        block.update_decision(registers, g_scales, q_scales)
-                    # the q-gen reduction for every trial at once (the winning
-                    # block's F latch is the same fancy-indexed assignment per
-                    # trial)
-                    winners = QGenBlock.select_batch(registers.Q, registers.selected)
-                    registers.F[rows, winners] = registers.G[rows, winners]
-
-                    path_indices[:, j] = winners
-                    path_gains[:, j] = registers.G[rows, winners]
-                    decisions[:, j] = registers.Q[rows, winners]
-                    previous = winners
-
-            result = datapath.assemble_estimate_batch(
-                registers.F, path_indices, path_gains, decisions,
-                r_scales, g_scales, q_scales,
-            )
+            result = core.datapath.estimate_batch(received)
             schedule = core.control.schedule()
         _TRIALS.inc(trials)
         _BATCH_TRIALS.observe(trials)

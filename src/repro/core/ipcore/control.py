@@ -21,11 +21,12 @@ paper's Table 2 timings to within 1% (see
 (112-block) design and 27 776 cycles for the single-block design.
 
 The schedule is *closed form* — it depends only on the core geometry, never
-on the data — which is what lets the batched engine
-(:class:`~repro.core.ipcore.batch.BatchIPCoreEngine`) evaluate it once per
-configuration and share one :class:`ScheduleBreakdown` across every trial of
-a batch, and lets :func:`repro.hardware.timing.timing_from_schedule` turn it
-into an execution time without running the datapath.
+on the data.  It is the only thing P changes: the batched engine
+(:class:`~repro.core.ipcore.batch.BatchIPCoreEngine`) is the fixed-point
+batch estimator plus one :class:`ScheduleBreakdown` per configuration,
+shared by every trial of a batch, and
+:func:`repro.hardware.timing.timing_from_schedule` turns the schedule into
+an execution time without running the datapath.
 """
 
 from __future__ import annotations

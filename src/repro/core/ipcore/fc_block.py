@@ -21,9 +21,10 @@ level *and* against :class:`~repro.core.fixedpoint_mp.FixedPointMatchingPursuit`
   ``[start, stop)`` window.  Every block operation is an element-wise
   float64 expression over its window — and element-wise IEEE 754 arithmetic
   is deterministic, so operating on a window produces the same bits as
-  operating on the whole array.  The batched engine
-  (:class:`~repro.core.ipcore.batch.BatchIPCoreEngine`) drives the *same*
-  block methods over registers with a leading ``(trials,)`` axis.
+  operating on the whole array.  That is why the batched engine
+  (:class:`~repro.core.ipcore.batch.BatchIPCoreEngine`) needs no blocks at
+  all: it runs the whole-array fixed-point batch estimator, and P picks only
+  the schedule.
 
 The real and imaginary datapaths are duplicated in hardware; in the model
 the complex arithmetic captures both at once.
@@ -45,9 +46,8 @@ __all__ = ["CoreRegisters", "FilterAndCancelBlock"]
 class CoreRegisters:
     """The register file of one estimation, shared by every FC block.
 
-    Arrays are ``(num_delays,)`` for a scalar estimation or
-    ``(trials, num_delays)`` for a batched one; block ``b`` addresses the
-    trailing-axis window ``[start_b, stop_b)``.  A fresh file is allocated
+    Arrays are ``(num_delays,)``; block ``b`` addresses the window
+    ``[start_b, stop_b)``.  A fresh file is allocated
     per estimation (steps 2–4 of the algorithm zero every register), which
     is what guarantees repeated calls on one simulator instance can never
     see stale decision metrics.
@@ -60,31 +60,21 @@ class CoreRegisters:
     selected: np.ndarray
 
     @classmethod
-    def zeros(cls, num_delays: int, trials: int | None = None) -> "CoreRegisters":
-        """A zeroed register file for ``num_delays`` columns (optionally batched)."""
+    def zeros(cls, num_delays: int) -> "CoreRegisters":
+        """A zeroed register file for ``num_delays`` columns."""
         check_integer("num_delays", num_delays, minimum=1)
-        if trials is None:
-            shape: tuple[int, ...] = (num_delays,)
-        else:
-            check_integer("trials", trials, minimum=0)
-            shape = (trials, num_delays)
         return cls(
-            V=np.zeros(shape, dtype=np.complex128),
-            G=np.zeros(shape, dtype=np.complex128),
-            F=np.zeros(shape, dtype=np.complex128),
-            Q=np.zeros(shape, dtype=np.float64),
-            selected=np.zeros(shape, dtype=bool),
+            V=np.zeros(num_delays, dtype=np.complex128),
+            G=np.zeros(num_delays, dtype=np.complex128),
+            F=np.zeros(num_delays, dtype=np.complex128),
+            Q=np.zeros(num_delays, dtype=np.float64),
+            selected=np.zeros(num_delays, dtype=bool),
         )
 
     @property
     def num_delays(self) -> int:
         """Number of delay columns covered by the file."""
         return int(self.V.shape[-1])
-
-    @property
-    def batched(self) -> bool:
-        """True when the registers carry a leading ``(trials,)`` axis."""
-        return self.V.ndim == 2
 
 
 class FilterAndCancelBlock:
@@ -147,8 +137,8 @@ class FilterAndCancelBlock:
         return self.start <= int(global_index) < self.stop
 
     def _window(self, values: np.ndarray) -> np.ndarray:
-        """This block's trailing-axis window of a register array."""
-        return values[..., self.start:self.stop]
+        """This block's window of a register array."""
+        return values[self.start:self.stop]
 
     # ------------------------------------------------------------------ #
     # Datapath operations
@@ -169,15 +159,12 @@ class FilterAndCancelBlock:
         """Step 8: subtract the selected path's interference from owned V_k.
 
         ``previous`` is the delay selected in the previous iteration and
-        ``coefficient`` its committed value F_q — scalars for one trial, or
-        per-trial arrays for batched registers.
+        ``coefficient`` its committed value F_q.
         """
-        if registers.batched:
-            term = self.A[:, previous].T * np.asarray(coefficient)[:, np.newaxis]
-        else:
-            term = self.A[:, int(previous)] * coefficient
         window = self._window(registers.V)
-        window[...] = self.datapath.requantize(window - term, v_scale)
+        window[...] = self.datapath.requantize(
+            window - self.A[:, int(previous)] * coefficient, v_scale
+        )
 
     def update_decision(self, registers: CoreRegisters, g_scale, q_scale) -> None:
         """Steps 10–11: G_k = V_k a_k and Q_k = Re{G_k^* V_k} for owned columns."""
@@ -212,9 +199,8 @@ class FilterAndCancelBlock:
                 f"column {index} is not owned by block {self.block_id} "
                 f"(owns [{self.start}, {self.stop}))"
             )
-        registers.F[..., index] = registers.G[..., index]
-        committed = registers.F[..., index]
-        return committed if registers.batched else complex(committed)
+        registers.F[index] = registers.G[index]
+        return complex(registers.F[index])
 
     # ------------------------------------------------------------------ #
     def coefficients(self, registers: CoreRegisters) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,11 @@ values the earliest block — and within it the earliest column — wins.
 Because the blocks partition the delay axis into ascending contiguous
 windows, that winner is precisely ``np.argmax`` over the full masked Q
 array: the selection rule of :func:`~repro.core.matching_pursuit.matching_pursuit`
-and of the batched engines.  :meth:`QGenBlock.select_batch` exploits the
-theorem to run the whole reduction as one per-trial ``argmax``.
+and of :class:`~repro.core.fixedpoint_mp.FixedPointMatchingPursuit`.  The
+theorem is why the batched IP core
+(:class:`~repro.core.ipcore.batch.BatchIPCoreEngine`) needs no q-gen: it is
+the fixed-point batch estimator, whose per-trial ``argmax`` is this
+reduction at every P.
 """
 
 from __future__ import annotations
@@ -72,9 +75,6 @@ class QGenBlock:
         if not candidates:
             raise ValueError("q-gen received no candidates")
         best: QGenDecision | None = None
-        # the mask is strictly one estimation's (num_delays,) vector — a
-        # batched (trials, num_delays) mask belongs to select_batch, and the
-        # scalar indexing here makes passing one fail loudly
         for index, q_value, g_value in candidates:
             if self.selected[int(index)]:
                 continue
@@ -86,17 +86,3 @@ class QGenBlock:
         self.selected[best.index] = True
         self.selection_order.append(best.index)
         return best
-
-    @staticmethod
-    def select_batch(Q: np.ndarray, selected: np.ndarray) -> np.ndarray:
-        """One q-gen reduction for every trial of a batch at once.
-
-        ``Q`` and ``selected`` are ``(trials, num_delays)``; the per-trial
-        winners are marked in ``selected`` and returned.  By the tie-break
-        theorem above, one first-maximum ``argmax`` per trial is exactly the
-        per-block local-candidate reduction the scalar q-gen performs.
-        """
-        masked = np.where(selected, -np.inf, Q)
-        winners = np.argmax(masked, axis=1)
-        selected[np.arange(winners.shape[0]), winners] = True
-        return winners

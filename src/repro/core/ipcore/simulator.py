@@ -11,6 +11,9 @@ is identical at *every* parallelism level P, and equal to the reference
 fixed-point estimator's (``tests/core/test_ipcore_conformance.py`` pins the
 three-way contract).  What P changes is the schedule: the cycle count from
 the control unit, which is what the timing column of Table 2 is built from.
+The per-block walk is the executable specification of Figure 5; the batched
+:class:`~repro.core.ipcore.batch.BatchIPCoreEngine` skips it and runs the
+fixed-point batch estimator plus the same schedule.
 """
 
 from __future__ import annotations
@@ -155,9 +158,9 @@ class IPCoreSimulator:
             for b in range(self.config.num_fc_blocks)
         ]
 
-    def new_registers(self, trials: int | None = None) -> CoreRegisters:
+    def new_registers(self) -> CoreRegisters:
         """A fresh register file covering every block's columns."""
-        return CoreRegisters.zeros(self.matrices.num_delays, trials)
+        return CoreRegisters.zeros(self.matrices.num_delays)
 
     def owner_of(self, global_index: int) -> FilterAndCancelBlock:
         """The FC block whose window contains ``global_index``."""

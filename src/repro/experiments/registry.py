@@ -71,6 +71,8 @@ TABLE3_PLATFORM_ENERGIES_UJ: dict[str, float] = {
 # per-group telemetry of the fixed-point run_batch (never per trial)
 _FIXEDPOINT_TRIALS = counter("engine.fixedpoint.trials")
 _FIXEDPOINT_GROUP_SIZE = histogram("engine.fixedpoint.batch_size")
+# the IP-core engine's own counter, topped up by the ipcore run_batch
+_IPCORE_CYCLES = counter("engine.ipcore.cycles")
 
 
 @dataclass(frozen=True)
@@ -424,8 +426,8 @@ def _ipcore_metrics(channel, true_f, reference, estimate, schedule) -> dict[str,
 def _ipcore_parallelism_trial(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
     """IP-core estimation accuracy and cycle cost at one (P, word length) point.
 
-    The estimate is bit-identical at every parallelism level (partitioning is
-    a scheduling choice — the conformance contract pinned by
+    P only picks the schedule: the estimate is bit-identical at every
+    parallelism level (the conformance contract pinned by
     ``tests/core/test_ipcore_conformance.py``), so across the ``num_fc_blocks``
     axis the accuracy columns are constant while the cycle columns fall as
     Ns/P.  The per-trial oracle walks the scalar FC blocks
@@ -442,23 +444,35 @@ def _ipcore_parallelism_trial(params: Mapping[str, Any], seed: int) -> dict[str,
 
 
 def _ipcore_parallelism_batch(points) -> list[dict[str, Any]]:
-    """``run_batch`` of ``ipcore-parallelism``: one ``estimate_batch`` per design point.
+    """``run_batch`` of ``ipcore-parallelism``: one ``estimate_batch`` per word length.
 
-    Points are grouped by ``(num_fc_blocks, word_length, configuration)``;
-    the batched engine is pinned ``==`` to the scalar FC-block walk, so the
-    metrics equal :func:`_ipcore_parallelism_trial`'s.
+    P only picks the schedule, so points are grouped by ``(word_length,
+    configuration)`` alone: one engine estimates the whole group, and each
+    row gets its own P's closed-form schedule.  The batched engine is pinned
+    ``==`` to the scalar FC-block walk at every P, so the metrics equal
+    :func:`_ipcore_parallelism_trial`'s.
     """
     metrics: list[Any] = [None] * len(points)
-    for (num_fc_blocks, word_length, config_key), rows, problems, received in (
-        _grouped_problems(points, lambda params: (
-            int(params["num_fc_blocks"]), int(params["word_length"]), _config_key(params)
-        ))
+    for (word_length, config_key), rows, problems, received in _grouped_problems(
+        points, lambda params: (int(params["word_length"]), _config_key(params))
     ):
-        run = _ipcore_engine(config_key, num_fc_blocks, word_length).estimate_batch(received)
-        for position, (row, problem) in enumerate(zip(rows, problems)):
+        engines = [
+            _ipcore_engine(config_key, int(points[row][0]["num_fc_blocks"]), word_length)
+            for row in rows
+        ]
+        # the largest P has the fewest cycles: estimate_batch counts every row
+        # at its P, and the counter is topped up to each row's own schedule
+        run = max(engines, key=lambda engine: engine.config.num_fc_blocks).estimate_batch(
+            received
+        )
+        schedules = [engine.core.control.schedule() for engine in engines]
+        _IPCORE_CYCLES.inc(
+            sum(schedule.total_cycles for schedule in schedules) - run.total_cycles * len(rows)
+        )
+        for position, (row, problem, schedule) in enumerate(zip(rows, problems, schedules)):
             channel, true_f, _, reference = problem
             metrics[row] = _ipcore_metrics(
-                channel, true_f, reference, run.result[position], run.schedule
+                channel, true_f, reference, run.result[position], schedule
             )
     return metrics
 

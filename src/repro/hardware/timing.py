@@ -71,7 +71,8 @@ def timing_from_schedule(
     """Turn a closed-form control schedule into a timing estimate.
 
     The IP core's schedule depends only on the geometry (never on the data),
-    so a single :class:`~repro.core.ipcore.control.ScheduleBreakdown` —
+    and it is all that P changes: a batch's estimates are the same at every
+    P.  So a single :class:`~repro.core.ipcore.control.ScheduleBreakdown` —
     e.g. the one every trial of a :class:`~repro.core.ipcore.batch.BatchIPCoreRun`
     shares — prices a whole batch of estimations on ``device``.
     """

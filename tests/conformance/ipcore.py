@@ -12,8 +12,11 @@ module makes that claim executable:
    construction wherever the quantiser modes match — at *every* P, since
    partitioning is a scheduling choice that cannot move a quantisation
    point (P=1 is the degenerate case where the two are the same machine).
-2. **batched == scalar** — :class:`~repro.core.ipcore.batch.BatchIPCoreEngine`
-   must equal a loop of scalar estimations, again with ``==`` on raw codes.
+2. **the batched IP core is the fixed-point batch estimator plus P's
+   schedule** — :class:`~repro.core.ipcore.batch.BatchIPCoreEngine` must
+   equal a loop of scalar estimations, again with ``==`` on raw codes
+   (``tests/conformance/test_ipcore_engine.py`` checks it on generated
+   configurations).
 3. **fixed point ≈ float** — against the floating-point
    :func:`~repro.core.matching_pursuit.matching_pursuit` the quantised
    estimate can only agree within quantisation bounds;

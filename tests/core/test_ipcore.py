@@ -58,18 +58,7 @@ class TestCoreRegisters:
     def test_scalar_layout(self):
         registers = CoreRegisters.zeros(12)
         assert registers.V.shape == (12,)
-        assert not registers.batched
         assert registers.num_delays == 12
-
-    def test_batched_layout(self):
-        registers = CoreRegisters.zeros(12, trials=5)
-        assert registers.Q.shape == (5, 12)
-        assert registers.batched
-        assert registers.num_delays == 12
-
-    def test_empty_batch_is_valid(self):
-        registers = CoreRegisters.zeros(12, trials=0)
-        assert registers.V.shape == (0, 12)
 
 
 class TestQGenBlock:
@@ -111,16 +100,6 @@ class TestQGenBlock:
         """Equal Q values resolve to the earliest index, like np.argmax."""
         qgen = self.make()
         assert qgen.select([(3, 2.0, 0j), (7, 2.0, 0j)]).index == 3
-
-    def test_select_batch_matches_scalar_reduction(self):
-        rng = np.random.default_rng(3)
-        Q = rng.standard_normal((4, 10))
-        selected = np.zeros((4, 10), dtype=bool)
-        selected[:, 2] = True
-        expected = np.argmax(np.where(selected, -np.inf, Q), axis=1)
-        winners = QGenBlock.select_batch(Q, selected)
-        np.testing.assert_array_equal(winners, expected)
-        assert selected[np.arange(4), winners].all()
 
 
 class TestFilterAndCancelBlock:
@@ -169,6 +148,23 @@ class TestFilterAndCancelBlock:
         indices, values = block.coefficients(registers)
         np.testing.assert_array_equal(indices, block.column_indices)
         assert values[3] == 0.5 - 0.25j and not np.any(np.delete(values, 3))
+
+    def test_cancel_on_a_window_equals_the_whole_array_update(self, small_matrices, rng):
+        """Step 8 on one block's window is the reference estimator's
+        whole-array cancellation, restricted to that window, bit for bit."""
+        datapath = FixedPointMatchingPursuit(small_matrices, word_length=8)
+        block = FilterAndCancelBlock(1, 6, 12, datapath)
+        registers = CoreRegisters.zeros(small_matrices.num_delays)
+        registers.V[...] = datapath.requantize(
+            rng.standard_normal(small_matrices.num_delays) * (1 - 0.5j), 4.0
+        )
+        before = registers.V.copy()
+        coefficient = datapath.requantize(np.array([0.3 + 0.2j]), 4.0)[0]
+        block.cancel(registers, 17, coefficient, 4.0)
+        whole = datapath.requantize(before - datapath.A_q[:, 17] * coefficient, 4.0)
+        np.testing.assert_array_equal(registers.V[6:12], whole[6:12])
+        np.testing.assert_array_equal(np.delete(registers.V, range(6, 12)),
+                                      np.delete(before, range(6, 12)))
 
     def test_empty_window_rejected(self, small_matrices):
         datapath = FixedPointMatchingPursuit(small_matrices, word_length=8)

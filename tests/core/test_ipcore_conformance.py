@@ -8,7 +8,7 @@ w ∈ {2, 8, 12, 16, 32}, batched == scalar at *every* P of the sweep, and the
 float :func:`matching_pursuit` reference is matched within the documented
 quantisation bounds.  The sweep-level pin additionally checks that
 ``repro sweep ipcore-parallelism`` (batch-native: one ``estimate_batch`` per
-design point) produces the records of the per-trial scalar FC-block walk.
+word length) produces the records of the per-trial scalar FC-block walk.
 """
 
 from __future__ import annotations

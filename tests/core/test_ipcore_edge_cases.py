@@ -98,11 +98,3 @@ class TestConfigurationValidation:
     def test_non_divisible_parallelism_rejected_by_engine_too(self, small_matrices):
         with pytest.raises(ValueError, match=r"\(7\).*\(24\)"):
             BatchIPCoreEngine(small_matrices, IPCoreConfig(num_fc_blocks=7))
-
-    def test_engine_rejects_conflicting_construction(self, small_matrices):
-        core = IPCoreSimulator(small_matrices, IPCoreConfig(num_fc_blocks=3))
-        with pytest.raises(ValueError, match="not both"):
-            BatchIPCoreEngine(small_matrices, simulator=core)
-        with pytest.raises(ValueError, match="matrices are required"):
-            BatchIPCoreEngine()
-        assert BatchIPCoreEngine(simulator=core).core is core

@@ -89,15 +89,14 @@ class TestGoldenIPCore:
         self, aquamodem_matrices, golden_problem, num_fc_blocks, word_length
     ):
         golden = GOLDEN_SCHEDULES[(num_fc_blocks, word_length)]
-        core = IPCoreSimulator(
+        engine = BatchIPCoreEngine(
             aquamodem_matrices,
             IPCoreConfig(num_fc_blocks=num_fc_blocks, word_length=word_length, num_paths=6),
         )
-        schedule = core.estimate(golden_problem).schedule
+        schedule = engine.core.estimate(golden_problem).schedule
         assert schedule.matched_filter_cycles == golden["matched_filter"]
         assert schedule.iteration_cycles == golden["iterations"]
         assert schedule.drain_cycles == golden["drain"]
         assert schedule.total_cycles == golden["total"]
         # the closed-form schedule the batched engine shares is the same one
-        engine = BatchIPCoreEngine(simulator=core)
         assert engine.estimate_batch(golden_problem[np.newaxis, :]).schedule == schedule

@@ -36,13 +36,14 @@ class TestIPCoreEngineSpans:
             run = engine.estimate_batch(received)
         names = _names(tracer)
         assert "engine.ipcore.estimate_batch" in names
-        assert "engine.ipcore.matched_filter" in names
-        assert "engine.ipcore.iterations" in names
-        # the stage spans nest under the batch span
+        assert "engine.fixedpoint.matched_filter" in names
+        assert "engine.fixedpoint.iterations" in names
+        # the engine is the fixed-point batch estimator: its stage spans
+        # nest under the batch span
         by_name = {r.name: r for r in tracer.records}
         batch_id = by_name["engine.ipcore.estimate_batch"].span_id
-        assert by_name["engine.ipcore.matched_filter"].parent_id == batch_id
-        assert by_name["engine.ipcore.iterations"].parent_id == batch_id
+        assert by_name["engine.fixedpoint.matched_filter"].parent_id == batch_id
+        assert by_name["engine.fixedpoint.iterations"].parent_id == batch_id
         # cycle accounting: schedule cycles x trials
         cycles = registry().counter("engine.ipcore.cycles").value - cycles_before
         assert cycles == run.total_cycles * 3
@@ -77,6 +78,11 @@ class TestFixedPointEngineSpans:
         assert names.count("engine.fixedpoint.group") == 2  # one per word length
         groups = [r for r in tracer.records if r.name == "engine.fixedpoint.group"]
         assert sorted(g.attributes["word_length"] for g in groups) == [6, 8]
+        # the estimator's phase spans nest under each group
+        group_ids = {g.span_id for g in groups}
+        for phase in ("engine.fixedpoint.matched_filter", "engine.fixedpoint.iterations"):
+            phases = [r for r in tracer.records if r.name == phase]
+            assert {r.parent_id for r in phases} == group_ids
         assert registry().counter("engine.fixedpoint.trials").value - trials_before == (
             result.stats.num_trials
         )
